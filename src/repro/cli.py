@@ -530,9 +530,9 @@ def cmd_perf(args) -> None:
               f"state): {int(par_cold)} RSA\n"
               "   verifications every refresh — it matches the incremental "
               "cold pass (both\n"
-              "   deduplicate within a refresh; a memo-less serial pass "
-              "repeats every\n"
-              "   discovery round) and spreads the batch across the pool, "
+              "   validate each point once per refresh, as the serial pass "
+              "does too)\n"
+              "   and spreads the batch across the pool, "
               "but only the\n"
               "   incremental memo carries work across epochs.  Results "
               "match every epoch.")

@@ -23,15 +23,12 @@ Two fan-outs live here:
   in any order and the factory adopts each at its index, leaving the
   build byte-identical to the serial one.
 
-The engine also acts as the validator's *reuse provider* when no
-:class:`~repro.rp.incremental.IncrementalState` is attached: within one
-refresh, a publication point already validated at the same instant with
-the same fingerprint is replayed instead of recomputed, which removes the
-discovery loop's round-over-round revalidation of the entire cache.  The
-reuse rule is deliberately stricter than the incremental engine's
-(``now`` must be *equal*, not merely on the same side of every validity
-boundary), so no time-boundary bookkeeping is needed and reuse is
-trivially exact.
+When no :class:`~repro.rp.incremental.IncrementalState` is attached the
+engine is also the validator's *memo provider*: its parse and
+verification memos last one refresh.  Replaying publication points
+within a refresh is the job of the relying party's refresh-scoped point
+table (see :meth:`repro.rp.PathValidator.run`), shared by every engine
+mode; the engine is a memo pre-pass only.
 """
 
 from __future__ import annotations
@@ -98,10 +95,6 @@ class ParallelEngine:
         # Minimum pending verify jobs before a dispatch; flushes happen on
         # publication-point boundaries so chunks always hold whole points.
         self.chunk_jobs = 2048
-        # Point replay cache: CA key id -> (PointResult, now it was stored).
-        self._points: dict[str, tuple] = {}
-        self.points_reused = 0
-        self.points_validated = 0
         self.metrics = metrics if metrics is not None else default_registry()
         self._m_jobs = self.metrics.counter(
             "repro_parallel_jobs_total",
@@ -117,16 +110,14 @@ class ParallelEngine:
     # -- refresh lifecycle ---------------------------------------------------
 
     def begin_refresh(self, pool: WorkerPool) -> None:
-        """Attach the refresh's pool and reset the run-scoped caches."""
+        """Attach the refresh's pool and reset the refresh-scoped memos."""
         self._pool = pool
-        self._points.clear()
         if self._owns_memos:
             self._state = _OwnedMemos()
 
     def end_refresh(self) -> None:
         """Detach from the (about to close) pool."""
         self._pool = None
-        self._points.clear()
 
     # -- the batch pre-pass --------------------------------------------------
 
@@ -230,7 +221,7 @@ class ParallelEngine:
             self._m_deduped.inc(deduped)
         return dispatched
 
-    # -- the reuse-provider protocol (PathValidator duck-types this) ---------
+    # -- the memo-provider protocol (PathValidator duck-types this) ----------
 
     def verify_object(self, obj: SignedObject, key: RsaPublicKey) -> bool:
         """Memoized signature check (misses verify in-process)."""
@@ -239,32 +230,6 @@ class ParallelEngine:
     def parse(self, data: bytes) -> SignedObject:
         """Memoized parse."""
         return self._state.parse_memo.parse(data)
-
-    def lookup(self, ca_key_id: str, fingerprint: tuple, now: int):
-        """This refresh's cached point result, under the strict-reuse rule.
-
-        Unlike :meth:`IncrementalState.lookup
-        <repro.rp.incremental.IncrementalState.lookup>`, reuse requires
-        the *identical* instant, not just the same time signature — any
-        clock movement revalidates, which is exactly what the serial path
-        does, so the conservatism can never change a result.
-        """
-        cached = self._points.get(ca_key_id)
-        if cached is None:
-            return None
-        entry, stored_now = cached
-        if entry.fingerprint != fingerprint or stored_now != now:
-            return None
-        return entry
-
-    def store(self, ca_key_id: str, entry, now: int | None = None) -> None:
-        self._points[ca_key_id] = (entry, now)
-
-    def count_reused(self, entry) -> None:
-        self.points_reused += 1
-
-    def count_validated(self) -> None:
-        self.points_validated += 1
 
 
 def prefill_keys(factory: KeyFactory, count: int, pool: WorkerPool) -> int:

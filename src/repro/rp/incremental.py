@@ -222,6 +222,8 @@ class PointResult:
     :class:`~repro.rp.pathval.ValidationRun` — issues, accepted child CA
     certificates (in file order; the caller recurses into them), ROAs and
     their VRPs, the validated contact — but nothing from child subtrees.
+    ``roa_count`` is the number of validated ROAs; a lean validator
+    leaves ``roas`` empty and keeps only this count.
 
     ``fingerprint`` is the exact reuse key (issuer certificate hash,
     strictness policy, per-copy content digests); ``boundaries`` and
@@ -237,6 +239,7 @@ class PointResult:
     issues: tuple = ()
     children: tuple = ()
     roas: tuple[Roa, ...] = ()
+    roa_count: int = 0
     vrps: tuple[VRP, ...] = ()
     contact: GhostbustersRecord | None = None
     verify_count: int = 0

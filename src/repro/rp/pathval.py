@@ -20,11 +20,19 @@ paper's entire Section 4 is about what those conditions do to routing.
 Validation is organized around *publication points*: each accepted CA
 certificate leads to one point, whose local outcome (issues, accepted
 children, ROAs, VRPs, contact) is computed as a unit and only then
-recursed into.  That unit is exactly what :mod:`repro.rp.incremental`
-caches — hand the validator an :class:`~repro.rp.incremental.IncrementalState`
-and unchanged points are replayed from the previous run instead of being
-re-parsed and re-verified.  With no state attached the validator is the
-plain cold algorithm with identical behavior to earlier revisions.
+recursed into.  That unit is what two caches replay:
+
+- a *refresh-scoped point table* (the ``points=`` argument of
+  :meth:`PathValidator.run`), which a relying party opens for one refresh
+  so that its discovery rounds validate each point from bytes once and
+  replay it in every later round.  An entry is replayed only when the
+  CA's subject key id, the point fingerprint and ``now`` are all *equal*
+  to when it was stored, so replay is exact by construction;
+- an :class:`~repro.rp.incremental.IncrementalState`, which carries point
+  results *across* refreshes under the time-boundary rules documented in
+  :mod:`repro.rp.incremental`.
+
+With neither attached the validator is the plain cold algorithm.
 """
 
 from __future__ import annotations
@@ -128,13 +136,12 @@ class PathValidator:
         and per-point results across runs.  ``None`` (default) validates
         cold every time.
     parallel:
-        A :class:`~repro.parallel.ParallelEngine` acting as the *reuse
-        provider* instead: run-scoped memos (prefilled by the engine's
-        pool pre-pass) plus same-instant point replay.  Mutually
-        exclusive with ``incremental`` — when both features are wanted,
-        the engine shares the incremental state's memos and this
-        validator sees only ``incremental`` (see
-        :class:`~repro.rp.RelyingParty`).
+        A :class:`~repro.parallel.ParallelEngine` acting as the *memo
+        provider* instead: refresh-scoped parse and verification memos,
+        prefilled by the engine's pool pre-pass.  Mutually exclusive
+        with ``incremental`` — when both features are wanted, the engine
+        shares the incremental state's memos and this validator sees
+        only ``incremental`` (see :class:`~repro.rp.RelyingParty`).
     collect_objects:
         If False (the *lean* streaming mode), validated ROA objects and
         their locations are counted but not retained on the
@@ -144,11 +151,11 @@ class PathValidator:
         serial refresh; layers that need the objects themselves
         (Suspenders corroboration, the monitor) keep the default True.
 
-    Both providers expose the same protocol (``verify_object`` /
-    ``parse`` / ``lookup`` / ``store`` / ``count_reused`` /
-    ``count_validated``); replayed and freshly computed points take the
-    identical code path, so any provider's output is byte-for-byte equal
-    to the cold run's.
+    Both providers expose ``verify_object`` / ``parse``; the incremental
+    state adds ``lookup`` / ``store`` / ``count_reused`` /
+    ``count_validated`` for cross-run point reuse.  Replayed and freshly
+    computed points take the identical code path, so any provider's (and
+    any point table's) output is byte-for-byte equal to the cold run's.
     """
 
     def __init__(
@@ -175,6 +182,10 @@ class PathValidator:
         self.parallel = parallel
         self._provider = incremental if incremental is not None else parallel
         self._verify_calls = 0
+        # Point visits across every run: validated from bytes vs replayed
+        # (from a point table or the incremental state).
+        self.points_validated = 0
+        self.points_replayed = 0
         self.metrics = metrics if metrics is not None else default_registry()
         self._m_runs = self.metrics.counter(
             "repro_validation_runs_total", help="full path-validation passes"
@@ -189,6 +200,12 @@ class PathValidator:
             help="validation issues recorded, by severity",
             labelnames=("severity",),
         )
+        self._m_points = self.metrics.counter(
+            "repro_validation_points_total",
+            help="publication points visited by path validation, validated "
+                 "from bytes vs replayed",
+            labelnames=("outcome",),
+        )
 
     def run(
         self,
@@ -196,19 +213,30 @@ class PathValidator:
         now: int,
         *,
         digests: dict[str, str] | None = None,
+        points: dict[str, tuple[PointResult, int]] | None = None,
     ) -> ValidationRun:
         """Validate everything reachable from the trust anchors.
 
         *cache_files* maps publication point URI → file name → bytes
         (the shape of :meth:`repro.repository.LocalCache.all_files`).
         *digests* optionally maps point URI → content digest (the shape
-        of :meth:`repro.repository.LocalCache.digests`); used only in
-        incremental mode, and computed from the bytes when absent.
+        of :meth:`repro.repository.LocalCache.digests`); used only for
+        point reuse, and computed from the bytes when absent.
+
+        *points* is a caller-owned point table, CA subject key id →
+        ``(PointResult, now)``, that lives for one refresh: every point
+        this run validates is stored in it, and a stored entry is
+        replayed instead of revalidated when its fingerprint and instant
+        are both equal to this run's.  ``None`` (default) keeps no table.
         """
-        if self._provider is not None and digests is None:
+        if digests is None and (
+            self._provider is not None or points is not None
+        ):
             digests = {
                 uri: point_digest(files) for uri, files in cache_files.items()
             }
+        validated_before = self.points_validated
+        replayed_before = self.points_replayed
         result = ValidationRun()
         seen_cas: set[str] = set()
         for anchor in self.trust_anchors:
@@ -228,8 +256,14 @@ class PathValidator:
                 continue
             result.validated_cas.append(anchor)
             self._descend(anchor, cache_files, digests, now, result, seen_cas,
-                          depth=0)
+                          points, depth=0)
         self._m_runs.inc()
+        if self.points_validated > validated_before:
+            self._m_points.inc(self.points_validated - validated_before,
+                               outcome="validated")
+        if self.points_replayed > replayed_before:
+            self._m_points.inc(self.points_replayed - replayed_before,
+                               outcome="replayed")
         if result.validated_cas:
             self._m_objects.inc(len(result.validated_cas), type="ca")
         if result.roa_count:
@@ -267,9 +301,14 @@ class PathValidator:
         now: int,
         result: ValidationRun,
         seen_cas: set[str],
+        points: dict[str, tuple[PointResult, int]] | None,
         depth: int,
     ) -> None:
-        """Validate the publication point of one accepted CA certificate."""
+        """Validate the publication point of one accepted CA certificate.
+
+        Lookup order: the point table (same fingerprint, same instant),
+        then the incremental state, then a cold validation from bytes.
+        """
         if depth > _MAX_DEPTH:
             result.issues.append(ValidationIssue(
                 Severity.ERROR, ca_cert.sia, "", "depth-exceeded",
@@ -280,25 +319,45 @@ class PathValidator:
             return  # loop guard (malicious self-recertification)
         seen_cas.add(ca_cert.subject_key_id)
 
-        provider = self._provider
+        key_id = ca_cert.subject_key_id
+        state = self.incremental
         entry: PointResult | None = None
         fingerprint: tuple = ()
-        if provider is not None:
+        if points is not None or state is not None:
             fingerprint = self._point_fingerprint(ca_cert, cache_files, digests)
-            entry = provider.lookup(ca_cert.subject_key_id, fingerprint, now)
-            if entry is not None:
-                provider.count_reused(entry)
-        if entry is None:
+        if points is not None:
+            stored = points.get(key_id)
+            if (
+                stored is not None
+                and stored[1] == now
+                and stored[0].fingerprint == fingerprint
+            ):
+                entry = stored[0]
+        if entry is None and state is not None:
+            entry = state.lookup(key_id, fingerprint, now)
+            if entry is not None and points is not None:
+                points[key_id] = (entry, now)
+        if entry is not None:
+            self.points_replayed += 1
+            if state is not None:
+                # A table hit is an incremental hit too (same fingerprint,
+                # same instant); the state counts every replay it backs.
+                state.count_reused(entry)
+        else:
+            self.points_validated += 1
             try:
                 entry = self._validate_point(
                     ca_cert, cache_files, now, fingerprint
                 )
             except Exception as exc:  # containment: one bad point ≠ dead run
+                # Never stored: the next run retries the point from bytes.
                 entry = self._quarantined_point(ca_cert, fingerprint, now, exc)
             else:
-                if provider is not None:
-                    provider.count_validated()
-                    provider.store(ca_cert.subject_key_id, entry, now)
+                if state is not None:
+                    state.count_validated()
+                    state.store(key_id, entry, now)
+                if points is not None:
+                    points[key_id] = (entry, now)
 
         # Apply the point's local outcome, then recurse into the subtree.
         # Replayed and freshly computed results take the identical path, so
@@ -306,7 +365,7 @@ class PathValidator:
         result.issues.extend(entry.issues)
         if entry.contact is not None:
             result.contacts[entry.selected_uri] = entry.contact
-        result.roa_count += len(entry.roas)
+        result.roa_count += entry.roa_count
         if self.collect_objects:
             for roa in entry.roas:
                 result.validated_roas.append(roa)
@@ -315,7 +374,7 @@ class PathValidator:
         for child in entry.children:
             result.validated_cas.append(child)
             self._descend(child, cache_files, digests, now, result, seen_cas,
-                          depth + 1)
+                          points, depth + 1)
 
     def _point_fingerprint(
         self,
@@ -466,7 +525,10 @@ class PathValidator:
             selected_uri=point_uri,
             issues=tuple(issues),
             children=tuple(children),
-            roas=tuple(roas),
+            # Lean mode keeps no parsed ROA past its point: the count is
+            # all a lean run (or a replay of this entry) needs.
+            roas=tuple(roas) if self.collect_objects else (),
+            roa_count=len(roas),
             vrps=tuple(vrps),
             contact=contact,
             verify_count=self._verify_calls - verify_before,
@@ -481,8 +543,9 @@ class PathValidator:
     ) -> PointResult:
         """A replayable empty result for a point whose validation raised.
 
-        Deliberately *not* stored in any reuse provider: the next run
-        retries the point from scratch instead of replaying the failure.
+        Deliberately *not* stored in a point table or the incremental
+        state: the next run retries the point from scratch instead of
+        replaying the failure.
         """
         issue = ValidationIssue(
             Severity.ERROR, _normalize(ca_cert.sia), "", "point-quarantined",

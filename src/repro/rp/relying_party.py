@@ -7,10 +7,16 @@ VRPs to classify BGP routes.
 
 Discovery is top-down: the trust anchors' publication points are fetched
 first, validation of what arrived reveals child SIA pointers, those are
-fetched next, and so on until no new points appear.  A point that cannot
-be fetched (unreachable, faulted) leaves whatever the cache already had —
-or nothing, which is exactly the "missing information" condition whose
-consequences Section 4 of the paper analyzes.
+fetched next, and so on until no new points appear.  Each round validates
+the whole cache snapshot, but a refresh-scoped point table (see
+:meth:`~repro.rp.PathValidator.run`) replays every point already
+validated at the same instant with the same content, so within one
+refresh each publication point is validated from bytes once.
+
+A point that cannot be fetched (unreachable, faulted) leaves whatever the
+cache already had — or nothing, which is exactly the "missing
+information" condition whose consequences Section 4 of the paper
+analyzes.
 """
 
 from __future__ import annotations
@@ -156,8 +162,11 @@ class RelyingParty:
     mode:
         The engine-selection knob, one of :data:`ENGINE_MODES`:
 
-        - ``"serial"`` — the plain path: every refresh re-parses and
-          re-verifies the whole cache snapshot.
+        - ``"serial"`` — the plain path: every refresh parses and
+          verifies each publication point of the cache once (later
+          discovery rounds of the same refresh replay it from the
+          refresh-scoped point table, as in every mode) and keeps
+          nothing for the next refresh.
         - ``"incremental"`` — keep an
           :class:`~repro.rp.incremental.IncrementalState` across
           refreshes so unchanged publication points are replayed instead
@@ -166,8 +175,8 @@ class RelyingParty:
         - ``"parallel"`` — each refresh opens a
           :class:`~repro.parallel.WorkerPool` of ``workers`` processes
           and a :class:`~repro.parallel.ParallelEngine` batch-verifies
-          signatures through it, deduplicated through the
-          content-addressed memo.
+          signatures through it before each validation pass,
+          deduplicated through the content-addressed memo.
 
         Validation *results* are identical in every mode; only the work
         done to produce them changes.  ``None`` (the default) infers
@@ -268,7 +277,7 @@ class RelyingParty:
         )
         # With both features on, the engine prefills the incremental
         # state's memos and the validator keeps the incremental provider;
-        # engine-alone additionally provides run-scoped point replay.
+        # engine-alone provides refresh-scoped memos.
         self._engine = (
             ParallelEngine(self.incremental_state, metrics=self.metrics)
             if workers > 0 else None
@@ -331,6 +340,9 @@ class RelyingParty:
 
     def _refresh(self) -> RefreshReport:
         report = RefreshReport(run=ValidationRun())
+        # CA key id -> (PointResult, now): this refresh's point table.  It
+        # is local, so nothing in it outlives the refresh.
+        points: dict = {}
         fetched: set[str] = set()
         pending = {
             str(RsyncUri.parse(anchor.sia))
@@ -360,7 +372,9 @@ class RelyingParty:
                         # Budget gone: stop fetching, validate what the
                         # cache has (the stale-fallback path).
                         budget_hit = True
-                        unfetched_at_break = pending - fetched
+                        # Points the scheduler already deferred this round
+                        # are reported as deferred, not also as skipped.
+                        unfetched_at_break = pending - fetched - deferred
                         break
                     if self.scheduler is not None:
                         remaining = (
@@ -390,7 +404,7 @@ class RelyingParty:
                     fetched.add(uri)
                     if self.scheduler is not None:
                         self.scheduler.record(uri, result.elapsed)
-                run = self._validate()
+                run = self._validate(points)
                 discovered = {
                     str(RsyncUri.parse(uri))
                     for cert in run.validated_cas
@@ -454,24 +468,23 @@ class RelyingParty:
             degrade(uri, "budget-deferred")
         return degradation
 
-    def _validate(self) -> ValidationRun:
+    def _validate(self, points: dict) -> ValidationRun:
         """One validation pass over the current cache snapshot.
 
         The snapshot is the cache's zero-copy view: the validator (and
         the parallel engine's pre-pass) read the cached file dicts by
         reference, so a validation round allocates no per-point copies
-        no matter how large the deployment is.
+        no matter how large the deployment is.  *points* is the
+        refresh's point table; the cache's maintained digests make its
+        fingerprints O(points) to build.
         """
         now = self._clock.now
         files = self.cache.snapshot(now)
         if self._engine is not None:
             self._engine.precompute(self.validator.trust_anchors, files)
-        digests = (
-            self.cache.digests(now)
-            if self.incremental_state is not None or self._engine is not None
-            else None
+        return self.validator.run(
+            files, now, digests=self.cache.digests(now), points=points
         )
-        return self.validator.run(files, now, digests=digests)
 
     # -- classification surface -------------------------------------------------
 

@@ -10,8 +10,9 @@ any of those is a vulnerability, not an optimization.
 import pytest
 
 from repro import reset_default_metrics
-from repro.modelgen import build_figure2
+from repro.modelgen import DeploymentConfig, build_deployment, build_figure2
 from repro.repository import FaultInjector, FaultKind, Fetcher
+from repro.repository.scheduler import SchedulerConfig
 from repro.rp import (
     VRP,
     IncrementalState,
@@ -291,6 +292,37 @@ class TestRefreshSkippedBookkeeping:
         report = rp.refresh()
         assert report.skipped == []
         assert not report.budget_exhausted
+
+    def test_deferred_points_are_not_also_skipped(self):
+        # With a scheduler and a budget both on, the budget can trip in a
+        # round after the scheduler already deferred points of that same
+        # round; those points are deferred, not skipped.
+        world = build_deployment(DeploymentConfig(
+            seed=1, isps_per_rir=2, customers_per_isp=1, roas_per_isp=1,
+            roas_per_customer=1, amplification_points=6,
+        ))
+        faults = FaultInjector()
+        faults.schedule(
+            FaultKind.DELAY,
+            "rsync://arin-isp-0.example/repo/cust0/",
+            delay_seconds=60,
+        )
+        fetcher = Fetcher(world.registry, world.clock, faults=faults,
+                          attempt_timeout=600)
+        rp = RelyingParty(
+            world.trust_anchors, fetcher, world.clock,
+            schedule=SchedulerConfig(authority_max_points=2),
+            fetch_budget=30,
+        )
+        report = rp.refresh()
+        assert report.budget_exhausted
+        amplified = [f"rsync://arin-amp.example/repo/amp{i}/"
+                     for i in range(1, 6)]
+        assert set(amplified) <= set(report.deferred)
+        assert report.skipped  # the budget did cut the round short
+        assert not set(report.skipped) & set(report.deferred)
+        fetched = {f.uri for f in report.fetches}
+        assert not fetched & set(report.skipped)
 
 
 class TestVrpSetDeltas:
