@@ -12,7 +12,6 @@ Layering (import order is strictly bottom-up)::
 
     telemetry / simtime (substrate: metrics, simulated time)
     resources -> crypto -> rpki -> repository -> rp -> bgp -> rtr
-                        \\- parallel (worker pools; used by rp and modelgen)
                                    \\- api (the origin-validation query plane)
                                    \\------------ core / monitor / jurisdiction
                                                   modelgen (fixtures & generators)
@@ -88,10 +87,8 @@ from .modelgen import (
     build_deployment,
     build_figure2,
     build_table4_world,
-    expected_keypairs,
     figure2_bgp,
 )
-from .parallel import ParallelEngine, WorkerPool, prefill_keys
 from .monitor import (
     ChurnConfig,
     ChurnEngine,
@@ -180,7 +177,7 @@ __all__ = [
     "Figure2World", "Gauge", "HOUR", "Histogram", "HistoryEntry",
     "INTERNET_SCALES", "IncrementalState", "KeyFactory", "LocalCache",
     "MetricsRegistry",
-    "OriginValidationOutcome", "PERSISTENT", "ParallelEngine", "PathValidator",
+    "OriginValidationOutcome", "PERSISTENT", "PathValidator",
     "PlannedFault", "Prefix", "PrefixTrie", "QueryService", "QueryStatus",
     "RateLimitConfig", "RefreshReport", "RelyingParty", "RepositoryRegistry",
     "RepositoryServer", "ResilienceConfig", "ResourceCertificate",
@@ -190,14 +187,14 @@ __all__ = [
     "SessionMux", "ShardRouter", "Span", "StallConfig", "StallDetector",
     "StallorisConfig", "StallorisReport",
     "SuspendersRelyingParty", "TokenBucket", "VRP", "ValidationRun",
-    "Violation", "VrpDiff", "VrpSet", "WorkerPool", "YEAR", "__version__",
+    "Violation", "VrpDiff", "VrpSet", "YEAR", "__version__",
     "always_reachable", "analyze", "build_deployment", "build_figure2",
     "build_plan", "build_table4_world", "classify", "collateral_of_revocation",
     "cross_border_audit", "default_registry", "demonstrate_all",
-    "diff_snapshots", "execute_whack", "expected_keypairs", "figure2_bgp",
+    "diff_snapshots", "execute_whack", "figure2_bgp",
     "generate_keypair", "measure_stalloris", "missing_roa_impact",
     "nested_bomb", "plan_whack",
-    "prefill_keys", "render_table4", "reset_default_metrics", "run_campaign",
+    "render_table4", "reset_default_metrics", "run_campaign",
     "shrink_plan", "take_snapshot", "trace", "validate", "validity_matrix",
     "whack_blast_radius",
 ]

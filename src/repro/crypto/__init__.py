@@ -17,10 +17,6 @@ from .rsa import (
     RsaPrivateKey,
     RsaPublicKey,
     generate_keypair,
-    generate_keypair_raw,
-    record_keygens,
-    record_verifications,
-    verify_raw,
 )
 
 __all__ = [
@@ -36,13 +32,9 @@ __all__ = [
     "encode",
     "fingerprint",
     "generate_keypair",
-    "generate_keypair_raw",
     "generate_prime",
     "is_probable_prime",
     "key_id_of",
-    "record_keygens",
-    "record_verifications",
     "sha256",
     "sha256_hex",
-    "verify_raw",
 ]

@@ -25,10 +25,6 @@ __all__ = [
     "RsaPublicKey",
     "RsaPrivateKey",
     "generate_keypair",
-    "generate_keypair_raw",
-    "verify_raw",
-    "record_verifications",
-    "record_keygens",
 ]
 
 # Keys are frozen dataclasses with no injection point, so signature
@@ -186,22 +182,6 @@ def generate_keypair(bits: int = 512, rng: random.Random | None = None) -> RsaPr
     enough that a full model RPKI signs in milliseconds, large enough that
     padding and DigestInfo fit comfortably.
     """
-    key = generate_keypair_raw(bits, rng)
-    _KEYGEN_TOTAL.inc()
-    return key
-
-
-def generate_keypair_raw(
-    bits: int = 512, rng: random.Random | None = None
-) -> RsaPrivateKey:
-    """:func:`generate_keypair` minus telemetry: a pure pickle-safe function.
-
-    This is the entry point :mod:`repro.parallel.worker` runs inside pool
-    processes.  It must never touch the process-global metrics registry —
-    a worker's increments would be invisible to the parent (or, under
-    ``fork``, double-book against a stale copy); the parent credits the
-    aggregate via :func:`record_keygens` instead.
-    """
     if bits < _MIN_MODULUS_BITS:
         raise KeySizeError(
             f"modulus must be at least {_MIN_MODULUS_BITS} bits, got {bits}"
@@ -231,44 +211,13 @@ def generate_keypair_raw(
         for r_i in rest:
             extra.append((r_i, d % (r_i - 1), pow(product, -1, r_i)))
             product *= r_i
+        _KEYGEN_TOTAL.inc()
         return RsaPrivateKey(
             public=RsaPublicKey(modulus=n), d=d,
             p=p, q=q, d_p=d % (p - 1), d_q=d % (q - 1),
             q_inv=pow(q, -1, p),
             extra=tuple(extra),
         )
-
-
-def verify_raw(modulus: int, exponent: int, message: bytes, signature: bytes) -> bool:
-    """Uninstrumented signature check from plain integers and bytes.
-
-    The pickle-safe pure-function form of :meth:`RsaPublicKey.verify`,
-    for pool workers: no telemetry, no object graph — the parent
-    aggregates outcomes with :func:`record_verifications`.
-    """
-    return RsaPublicKey(modulus=modulus, exponent=exponent)._verify_raw(
-        message, signature
-    )
-
-
-def record_verifications(accepted: int, rejected: int) -> None:
-    """Credit verifications performed elsewhere to this process's registry.
-
-    Pool workers run :func:`verify_raw`, which deliberately does not
-    count; the parent calls this once per reassembled batch so
-    ``repro_crypto_verify_total`` keeps meaning "modular exponentiations
-    performed on behalf of this process".
-    """
-    if accepted:
-        _VERIFY_TOTAL.labels(outcome="accepted").inc(accepted)
-    if rejected:
-        _VERIFY_TOTAL.labels(outcome="rejected").inc(rejected)
-
-
-def record_keygens(count: int) -> None:
-    """Credit *count* worker-generated keypairs to this process's registry."""
-    if count:
-        _KEYGEN_TOTAL.inc(count)
 
 
 def _pad(message: bytes, target_length: int) -> bytes:

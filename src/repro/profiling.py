@@ -63,7 +63,7 @@ class ProfileReport:
 
     scale: str
     seed: int
-    mode: str                 # "serial" / "incremental" / "parallel(N)"
+    mode: str                 # "serial" / "incremental"
     lean: bool
     roa_count: int
     authority_count: int
@@ -185,8 +185,7 @@ def profile_refresh(
     *,
     seed: int | None = None,
     top: int = 15,
-    mode: str | None = None,
-    workers: int = 0,
+    mode: str = "serial",
     lean: bool = True,
 ) -> ProfileReport:
     """Build a deployment, profile one full refresh, rank the hotspots.
@@ -207,8 +206,8 @@ def profile_refresh(
 
     *lean* defaults to True (the streaming relying party) because that
     is the configuration the Internet scales are meant to run in; pass
-    ``lean=False`` to profile object retention too.  *mode*/*workers*
-    select the engine exactly like :class:`~repro.rp.RelyingParty`.
+    ``lean=False`` to profile object retention too.  *mode* selects the
+    engine exactly like :class:`~repro.rp.RelyingParty`.
     """
     from .crypto import KeyFactory
     from .repository import Fetcher
@@ -218,19 +217,19 @@ def profile_refresh(
     build_start = time.perf_counter()
     from .modelgen import build_deployment
 
-    world = build_deployment(config, workers=workers)
+    world = build_deployment(config)
     build_seconds = time.perf_counter() - build_start
 
     KeyFactory.clear_cache()
     build_profiler = cProfile.Profile()
     build_profiler.enable()
-    build_deployment(config, workers=workers)   # profiled rebuild, cold keys
+    build_deployment(config)   # profiled rebuild, cold keys
     build_profiler.disable()
 
     fetcher = Fetcher(world.registry, world.clock)
     rp = RelyingParty(
         world.trust_anchors, fetcher, metrics=fetcher.metrics,
-        mode=mode, workers=workers, lean=lean,
+        mode=mode, lean=lean,
     )
     profiler = cProfile.Profile()
     refresh_start = time.perf_counter()
@@ -240,11 +239,10 @@ def profile_refresh(
     refresh_seconds = time.perf_counter() - refresh_start
 
     stats = pstats.Stats(profiler)
-    mode_label = rp.mode if not workers else f"parallel({workers})"
     return ProfileReport(
         scale=scale,
         seed=config.seed,
-        mode=mode_label,
+        mode=rp.mode,
         lean=lean,
         roa_count=world.roa_count(),
         authority_count=len(world.authorities()),

@@ -140,25 +140,6 @@ class VerificationMemo:
         self._verdicts[memo_key] = verdict
         return verdict
 
-    def contains(self, obj: SignedObject, key: RsaPublicKey) -> bool:
-        """True iff the verdict for (*obj*, *key*) is already cached.
-
-        The dedup probe of :meth:`repro.parallel.ParallelEngine.precompute`
-        — pure lookup, no hit/miss accounting (it is not memo traffic).
-        """
-        return (obj.hash_hex, key.cache_key) in self._verdicts
-
-    def record(self, obj: SignedObject, key: RsaPublicKey, verdict: bool) -> None:
-        """Seed the memo with a verdict computed elsewhere (a pool worker).
-
-        Verification is a pure function of the memo key's content, so a
-        verdict's origin is irrelevant; the bound is enforced the same
-        way as on the compute path.
-        """
-        if self.max_entries is not None and len(self._verdicts) >= self.max_entries:
-            self._verdicts.clear()
-        self._verdicts[(obj.hash_hex, key.cache_key)] = verdict
-
 
 class ParseMemo:
     """Content-addressed cache of :func:`repro.rpki.parse.parse_object`.

@@ -135,13 +135,6 @@ class PathValidator:
         An :class:`~repro.rp.incremental.IncrementalState` to carry memos
         and per-point results across runs.  ``None`` (default) validates
         cold every time.
-    parallel:
-        A :class:`~repro.parallel.ParallelEngine` acting as the *memo
-        provider* instead: refresh-scoped parse and verification memos,
-        prefilled by the engine's pool pre-pass.  Mutually exclusive
-        with ``incremental`` — when both features are wanted, the engine
-        shares the incremental state's memos and this validator sees
-        only ``incremental`` (see :class:`~repro.rp.RelyingParty`).
     collect_objects:
         If False (the *lean* streaming mode), validated ROA objects and
         their locations are counted but not retained on the
@@ -151,11 +144,11 @@ class PathValidator:
         serial refresh; layers that need the objects themselves
         (Suspenders corroboration, the monitor) keep the default True.
 
-    Both providers expose ``verify_object`` / ``parse``; the incremental
-    state adds ``lookup`` / ``store`` / ``count_reused`` /
-    ``count_validated`` for cross-run point reuse.  Replayed and freshly
-    computed points take the identical code path, so any provider's (and
-    any point table's) output is byte-for-byte equal to the cold run's.
+    The incremental state supplies memoized ``verify_object`` / ``parse``
+    plus ``lookup`` / ``store`` / ``count_reused`` / ``count_validated``
+    for cross-run point reuse.  Replayed and freshly computed points take
+    the identical code path, so its (and any point table's) output is
+    byte-for-byte equal to the cold run's.
     """
 
     def __init__(
@@ -165,22 +158,14 @@ class PathValidator:
         strict_manifests: bool = False,
         metrics: MetricsRegistry | None = None,
         incremental: IncrementalState | None = None,
-        parallel=None,
         collect_objects: bool = True,
     ):
         if not trust_anchors:
             raise ValueError("at least one trust anchor is required")
-        if incremental is not None and parallel is not None:
-            raise ValueError(
-                "incremental and parallel are mutually exclusive; share the "
-                "incremental state's memos with the engine instead"
-            )
         self.trust_anchors = list(trust_anchors)
         self.strict_manifests = strict_manifests
         self.collect_objects = collect_objects
         self.incremental = incremental
-        self.parallel = parallel
-        self._provider = incremental if incremental is not None else parallel
         self._verify_calls = 0
         # Point visits across every run: validated from bytes vs replayed
         # (from a point table or the incremental state).
@@ -230,7 +215,7 @@ class PathValidator:
         are both equal to this run's.  ``None`` (default) keeps no table.
         """
         if digests is None and (
-            self._provider is not None or points is not None
+            self.incremental is not None or points is not None
         ):
             digests = {
                 uri: point_digest(files) for uri, files in cache_files.items()
@@ -279,16 +264,16 @@ class PathValidator:
     # -- memo-aware primitives ----------------------------------------------
 
     def _verify(self, obj: SignedObject, key: RsaPublicKey) -> bool:
-        """Signature check, via the reuse provider's memo when attached."""
+        """Signature check, via the incremental state's memo when attached."""
         self._verify_calls += 1
-        if self._provider is not None:
-            return self._provider.verify_object(obj, key)
+        if self.incremental is not None:
+            return self.incremental.verify_object(obj, key)
         return obj.verify_signature(key)
 
     def _parse(self, data: bytes) -> SignedObject:
-        """Parse, via the reuse provider's memo when attached."""
-        if self._provider is not None:
-            return self._provider.parse(data)
+        """Parse, via the incremental state's memo when attached."""
+        if self.incremental is not None:
+            return self.incremental.parse(data)
         return parse_object(data)
 
     # -- internals ----------------------------------------------------------
@@ -408,7 +393,9 @@ class PathValidator:
         issues: list[ValidationIssue] = []
         verify_before = self._verify_calls
 
-        point_uri, files = self._select_point_copy(ca_cert, cache_files, now)
+        point_uri, files, manifest = self._select_point_copy(
+            ca_cert, cache_files, now
+        )
         if files is None:
             issues.append(ValidationIssue(
                 Severity.ERROR, _normalize(ca_cert.sia), "", "point-missing",
@@ -425,7 +412,9 @@ class PathValidator:
             ))
 
         crl = self._load_crl(point_uri, files, ca_cert, now, issues)
-        usable = self._apply_manifest(point_uri, files, ca_cert, now, issues)
+        usable = self._apply_manifest(
+            point_uri, files, ca_cert, now, issues, manifest
+        )
         children: list[ResourceCertificate] = []
         roas: list[Roa] = []
         vrps: list[VRP] = []
@@ -619,14 +608,15 @@ class PathValidator:
         ca_cert: ResourceCertificate,
         cache_files: dict[str, dict[str, bytes]],
         now: int,
-    ) -> tuple[str, dict[str, bytes] | None]:
+    ) -> tuple[str, dict[str, bytes] | None, Manifest | None]:
         """Pick which cached copy of a CA's publication point to use.
 
         Candidates are the primary SIA then each mirror.  A copy is
         *consistent* when its manifest parses, verifies under the CA key,
         is current, and every listed file is present with a matching
-        hash.  The first consistent copy wins; if none is consistent, the
-        first cached copy (primary preferred) is returned so its problems
+        hash.  The first consistent copy wins and is returned with its
+        verified manifest; if none is consistent, the first cached copy
+        (primary preferred) is returned without one, so its problems
         surface as ordinary validation issues.
         """
         candidates = [_normalize(u) for u in ca_cert.all_publication_uris]
@@ -637,35 +627,39 @@ class PathValidator:
                 continue
             if first_present is None:
                 first_present = (uri, files)
-            if self._copy_is_consistent(files, ca_cert, now):
-                return uri, files
+            manifest = self._consistent_manifest(files, ca_cert, now)
+            if manifest is not None:
+                return uri, files, manifest
         if first_present is not None:
-            return first_present
-        return _normalize(ca_cert.sia), None
+            return (*first_present, None)
+        return _normalize(ca_cert.sia), None, None
 
-    def _copy_is_consistent(
+    def _consistent_manifest(
         self, files: dict[str, bytes], ca_cert: ResourceCertificate, now: int
-    ) -> bool:
+    ) -> Manifest | None:
+        """The copy's verified manifest if the copy is consistent, else None."""
         data = files.get(MANIFEST_FILE)
         if data is None:
-            return False
+            return None
         try:
             manifest = self._parse(data)
         except Exception:
-            return False  # an unparseable manifest is an inconsistent copy
+            return None  # an unparseable manifest is an inconsistent copy
         if not isinstance(manifest, Manifest):
-            return False
+            return None
         if not self._verify(manifest, ca_cert.subject_key):
-            return False
+            return None
         if manifest.next_update < now:
-            return False
+            return None
         on_disk = {name for name in files if name != MANIFEST_FILE}
         if manifest.file_names != on_disk:
-            return False
-        return all(
+            return None
+        if not all(
             sha256_hex(files[name]) == manifest.hash_of(name)
             for name in on_disk
-        )
+        ):
+            return None
+        return manifest
 
     def _load_crl(self, point_uri, files, ca_cert, now, issues) -> Crl | None:
         data = files.get(CRL_FILE)
@@ -698,22 +692,24 @@ class PathValidator:
         return crl
 
     def _apply_manifest(
-        self, point_uri, files, ca_cert, now, issues
+        self, point_uri, files, ca_cert, now, issues, manifest
     ) -> dict[str, bytes] | None:
         """Check manifest consistency; returns the usable file dict.
 
-        Returns None if strict mode discards the whole point.
+        *manifest* is the copy's already verified manifest, when
+        :meth:`_select_point_copy` found the copy consistent; otherwise
+        the manifest is parsed and verified here so its problems are
+        reported.  Returns None if strict mode discards the whole point.
         """
         strict_fail: str | None = None
         data = files.get(MANIFEST_FILE)
-        manifest: Manifest | None = None
-        if data is None:
+        if manifest is None and data is None:
             issues.append(ValidationIssue(
                 Severity.WARNING, point_uri, MANIFEST_FILE, "manifest-missing",
                 "no manifest; cannot detect missing or extra objects",
             ))
             strict_fail = "manifest-missing"
-        else:
+        elif manifest is None:
             try:
                 parsed = self._parse(data)
                 manifest = parsed if isinstance(parsed, Manifest) else None

@@ -21,10 +21,8 @@ analyzes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
-from ..parallel import ParallelEngine, WorkerPool
 from ..repository.cache import CacheFreshness, LocalCache
 from ..repository.fetch import Fetcher, FetchResult, FetchStatus
 from ..repository.scheduler import FetchScheduler, SchedulerConfig
@@ -41,10 +39,10 @@ from .vrp import VrpSet
 __all__ = ["ENGINE_MODES", "RelyingParty", "RefreshReport",
            "DegradationReport"]
 
-# The coherent engine-selection knob: which validation strategy a
-# relying party runs.  ``workers`` sizes the process pool where one is
-# used (always for "parallel"; optionally composed with "incremental").
-ENGINE_MODES = ("serial", "incremental", "parallel")
+# The engine-selection knob: which validation strategy a relying party
+# runs.  Both produce identical results; they differ only in the work
+# carried from one refresh to the next.
+ENGINE_MODES = ("serial", "incremental")
 
 # Issue codes that mean "this object's bytes were rejected and the object
 # was excluded while its siblings kept validating" — the containment
@@ -165,31 +163,16 @@ class RelyingParty:
         - ``"serial"`` — the plain path: every refresh parses and
           verifies each publication point of the cache once (later
           discovery rounds of the same refresh replay it from the
-          refresh-scoped point table, as in every mode) and keeps
+          refresh-scoped point table, as in both modes) and keeps
           nothing for the next refresh.
         - ``"incremental"`` — keep an
           :class:`~repro.rp.incremental.IncrementalState` across
           refreshes so unchanged publication points are replayed instead
           of re-validated (see :mod:`repro.rp.incremental` for the exact
           invalidation rules).
-        - ``"parallel"`` — each refresh opens a
-          :class:`~repro.parallel.WorkerPool` of ``workers`` processes
-          and a :class:`~repro.parallel.ParallelEngine` batch-verifies
-          signatures through it before each validation pass,
-          deduplicated through the content-addressed memo.
 
-        Validation *results* are identical in every mode; only the work
-        done to produce them changes.  ``None`` (the default) infers
-        ``"parallel"`` when ``workers > 0`` and ``"serial"`` otherwise,
-        so existing ``RelyingParty(workers=4)`` call sites keep working.
-    workers:
-        Process-pool size.  Required ≥ 1 for ``mode="parallel"`` (0 is
-        promoted to 1); with ``mode="incremental"`` a positive count
-        additionally attaches the parallel engine, which shares the
-        incremental state's memos.  ``mode="serial"`` rejects a positive
-        count — that combination is incoherent.  On platforms without a
-        usable ``multiprocessing`` start method the pool degrades to
-        in-process execution with the same semantics.
+        Validation *results* are identical in both modes; only the work
+        done to produce them changes.
     lean:
         Streaming refresh: validated ROA objects are counted but not
         retained on the :class:`~repro.rp.pathval.ValidationRun` (only
@@ -201,10 +184,6 @@ class RelyingParty:
         Internet-scale configuration.  Layers that need the parsed
         objects (Suspenders corroboration, the monitor's ROA diffing)
         must keep the default False.
-    incremental:
-        Deprecated spelling of ``mode="incremental"``; passing it (with
-        either value) emits :class:`DeprecationWarning`.  ``True`` maps
-        to ``mode="incremental"``, ``False`` to the inferred mode.
     metrics:
         Telemetry registry shared with this RP's cache and validator
         (None → the process-global default registry).  Give each relying
@@ -222,46 +201,20 @@ class RelyingParty:
         fetch_budget: int | None = None,
         schedule: SchedulerConfig | FetchScheduler | None = None,
         strict_manifests: bool = False,
-        mode: str | None = None,
-        workers: int = 0,
+        mode: str = "serial",
         lean: bool = False,
-        incremental: bool | None = None,
         metrics: MetricsRegistry | None = None,
     ):
         if fetch_budget is not None and fetch_budget < 1:
             raise ValueError(f"bad fetch budget {fetch_budget}")
-        if workers < 0:
-            raise ValueError(f"worker count must be >= 0, got {workers}")
-        if incremental is not None:
-            warnings.warn(
-                "RelyingParty(incremental=...) is deprecated; use "
-                "mode='incremental' (or mode='serial')",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if incremental:
-                if mode not in (None, "incremental"):
-                    raise ValueError(
-                        f"incremental=True conflicts with mode={mode!r}"
-                    )
-                mode = "incremental"
-        if mode is None:
-            mode = "parallel" if workers > 0 else "serial"
         if mode not in ENGINE_MODES:
             raise ValueError(
                 f"mode must be one of {ENGINE_MODES}, got {mode!r}"
-            )
-        if mode == "parallel" and workers == 0:
-            workers = 1
-        if mode == "serial" and workers > 0:
-            raise ValueError(
-                "workers > 0 requires mode='parallel' or mode='incremental'"
             )
         self.mode = mode
         self.lean = lean
         self.fetcher = fetcher
         self.fetch_budget = fetch_budget
-        self.workers = workers
         self.metrics = metrics if metrics is not None else default_registry()
         if isinstance(schedule, FetchScheduler):
             self.scheduler: FetchScheduler | None = schedule
@@ -275,21 +228,9 @@ class RelyingParty:
             IncrementalState(metrics=self.metrics)
             if mode == "incremental" else None
         )
-        # With both features on, the engine prefills the incremental
-        # state's memos and the validator keeps the incremental provider;
-        # engine-alone provides refresh-scoped memos.
-        self._engine = (
-            ParallelEngine(self.incremental_state, metrics=self.metrics)
-            if workers > 0 else None
-        )
         self.validator = PathValidator(
             trust_anchors, strict_manifests=strict_manifests,
             metrics=self.metrics, incremental=self.incremental_state,
-            parallel=(
-                self._engine
-                if self._engine is not None and self.incremental_state is None
-                else None
-            ),
             collect_objects=not lean,
         )
         self._clock = clock if clock is not None else fetcher.clock
@@ -328,17 +269,6 @@ class RelyingParty:
 
     def refresh(self) -> RefreshReport:
         """One full synchronize-and-validate cycle."""
-        if self._engine is None:
-            return self._refresh()
-        with WorkerPool(self.workers, metrics=self.metrics,
-                        clock=self._clock) as pool:
-            self._engine.begin_refresh(pool)
-            try:
-                return self._refresh()
-            finally:
-                self._engine.end_refresh()
-
-    def _refresh(self) -> RefreshReport:
         report = RefreshReport(run=ValidationRun())
         # CA key id -> (PointResult, now): this refresh's point table.  It
         # is local, so nothing in it outlives the refresh.
@@ -471,19 +401,15 @@ class RelyingParty:
     def _validate(self, points: dict) -> ValidationRun:
         """One validation pass over the current cache snapshot.
 
-        The snapshot is the cache's zero-copy view: the validator (and
-        the parallel engine's pre-pass) read the cached file dicts by
-        reference, so a validation round allocates no per-point copies
+        The snapshot is the cache's zero-copy view: the validator reads
+        the cached file dicts by reference, so a validation round allocates no per-point copies
         no matter how large the deployment is.  *points* is the
         refresh's point table; the cache's maintained digests make its
         fingerprints O(points) to build.
         """
         now = self._clock.now
-        files = self.cache.snapshot(now)
-        if self._engine is not None:
-            self._engine.precompute(self.validator.trust_anchors, files)
         return self.validator.run(
-            files, now, digests=self.cache.digests(now), points=points
+            self.cache.snapshot(now), now, digests=self.cache.digests(now), points=points
         )
 
     # -- classification surface -------------------------------------------------

@@ -251,7 +251,7 @@ class SignedObject:
         return hash(self._hash_hex)
 
     def __reduce__(self):
-        # Ship the cached payload encoding with the pickle so worker-pool
-        # round trips rebuild the object without re-encoding it.
+        # Ship the cached payload encoding with the pickle so a round trip
+        # rebuilds the object without re-encoding it.
         return (_restore, (type(self), self._payload, self._signature,
                            self._encoded_payload))

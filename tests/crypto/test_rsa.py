@@ -71,6 +71,14 @@ class TestKeygen:
         with pytest.raises(KeySizeError):
             generate_keypair(128)
 
+    def test_counts_one_keygen_per_key(self):
+        from repro.telemetry import default_registry
+
+        keygen = default_registry().get("repro_crypto_keygen_total")
+        before = keygen.value()
+        generate_keypair(512, random.Random(5))
+        assert keygen.value() == before + 1
+
     def test_public_dict_roundtrip(self, keypair):
         from repro.crypto import RsaPublicKey
 
@@ -144,62 +152,3 @@ class TestCrtAcceleration:
 
         plain = RsaPrivateKey(public=keypair.public, d=keypair.d)
         assert keypair.public.verify(b"m", plain.sign(b"m"))
-
-
-class TestRawEntryPoints:
-    """Pickle-safe pure functions the worker pool dispatches to."""
-
-    def test_verify_raw_matches_method(self, keypair):
-        from repro.crypto import verify_raw
-
-        sig = keypair.sign(b"payload")
-        assert verify_raw(keypair.public.modulus, keypair.public.exponent,
-                          b"payload", sig)
-        assert not verify_raw(keypair.public.modulus,
-                              keypair.public.exponent, b"tampered", sig)
-
-    def test_generate_keypair_raw_matches_instrumented(self):
-        from repro.crypto import generate_keypair_raw
-
-        a = generate_keypair(512, random.Random(123))
-        b = generate_keypair_raw(512, random.Random(123))
-        assert a == b
-
-    def test_raw_calls_do_not_touch_metrics(self):
-        from repro.crypto import generate_keypair_raw, verify_raw
-        from repro.telemetry import default_registry
-
-        key = generate_keypair(512, random.Random(9))
-        sig = key.sign(b"m")
-        registry = default_registry()
-
-        def totals():
-            verify = registry.get("repro_crypto_verify_total")
-            keygen = registry.get("repro_crypto_keygen_total")
-            return (verify.value(outcome="accepted")
-                    + verify.value(outcome="rejected"), keygen.value())
-
-        before = totals()
-        verify_raw(key.public.modulus, key.public.exponent, b"m", sig)
-        generate_keypair_raw(512, random.Random(10))
-        assert totals() == before
-
-    def test_record_helpers_credit_parent_registry(self):
-        from repro.crypto import record_keygens, record_verifications
-        from repro.telemetry import default_registry
-
-        registry = default_registry()
-        verify = registry.get("repro_crypto_verify_total")
-        keygen = registry.get("repro_crypto_keygen_total")
-        v_acc = verify.value(outcome="accepted")
-        v_rej = verify.value(outcome="rejected")
-        k = keygen.value()
-        record_verifications(3, 2)
-        record_keygens(4)
-        assert verify.value(outcome="accepted") == v_acc + 3
-        assert verify.value(outcome="rejected") == v_rej + 2
-        assert keygen.value() == k + 4
-        record_verifications(0, 0)
-        record_keygens(0)
-        assert verify.value(outcome="accepted") == v_acc + 3
-        assert keygen.value() == k + 4

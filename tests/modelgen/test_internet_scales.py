@@ -6,8 +6,8 @@ suballocation recursion — which is what lets
 :data:`repro.modelgen.INTERNET_SCALES` reach 10⁴–10⁵ ROAs in O(n).
 These tests pin the family's arithmetic, its determinism (same seed ⇒
 identical world), and the engine-equivalence claim at ``internet-small``:
-a ``workers=4`` refresh produces byte-identical validated objects and
-VRPs to the serial path.
+an incremental-mode refresh produces byte-identical validated objects,
+VRPs and issues to the serial path.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.modelgen import (
     INTERNET_SCALES,
     DeploymentConfig,
     build_deployment,
-    expected_keypairs,
 )
 from repro.repository import Fetcher
 from repro.rp import RelyingParty, VrpSet
@@ -26,6 +25,12 @@ TINY_FLAT = DeploymentConfig(
     isps_per_rir=6, customers_per_isp=0, roas_per_isp=8,
     roas_per_customer=0, flat=True, shared_ee_keys=True, seed=33,
 )
+
+
+def _flat_keypairs(config):
+    """Keypairs a flat build consumes: 1 TA + (1 CA + EE keys) per ISP."""
+    per_isp = 1 + (1 if config.shared_ee_keys else config.roas_per_isp)
+    return len(config.rirs) * (1 + config.isps_per_rir * per_isp)
 
 
 def _refresh(world, **kwargs):
@@ -51,7 +56,7 @@ class TestFlatGenerator:
             )
 
     def test_keypair_consumption_matches_prediction(self, world):
-        assert world.key_factory.issued == expected_keypairs(TINY_FLAT)
+        assert world.key_factory.issued == _flat_keypairs(TINY_FLAT)
 
     def test_shared_ee_keys_one_per_authority(self, world):
         seen = set()
@@ -116,7 +121,7 @@ class TestInternetScalesRegistry:
         # Shared EE keys: 1 TA + (1 CA + 1 EE) per ISP, per RIR — keygen
         # is O(authorities), not O(ROAs).
         per_rir = 1 + config.isps_per_rir * 2
-        assert expected_keypairs(config) == len(config.rirs) * per_rir
+        assert _flat_keypairs(config) == len(config.rirs) * per_rir
 
 
 class TestDeterminism:
@@ -144,29 +149,37 @@ class TestDeterminism:
 
 
 class TestInternetSmallEquivalence:
-    """The heavyweight pin: serial and workers=4 agree at 10^4 ROAs."""
+    """The heavyweight pin: serial and incremental agree at 10^4 ROAs."""
 
     @pytest.fixture(scope="class")
     def world(self):
         return build_deployment(INTERNET_SCALES["internet-small"])
 
-    def test_workers4_refresh_byte_identical_to_serial(self, world):
+    def test_incremental_refresh_byte_identical_to_serial(self, world):
         rp_serial, serial_report = _refresh(world)
-        rp_parallel, parallel_report = _refresh(world, workers=4)
+        rp_incremental, incremental_report = _refresh(
+            world, mode="incremental"
+        )
 
         assert serial_report.run.errors() == []
-        assert parallel_report.run.errors() == []
         assert len(rp_serial.vrps) == world.roa_count()
         # Byte identity: the same validated objects (by content hash),
-        # the same VRP set, the same content-addressed digest.
-        assert (
-            sorted(roa.hash_hex for roa in serial_report.run.validated_roas)
-            == sorted(
-                roa.hash_hex for roa in parallel_report.run.validated_roas
+        # the same VRP set and content-addressed digest, the same issues.
+        for objects in ("validated_cas", "validated_roas"):
+            assert (
+                [obj.hash_hex for obj in getattr(serial_report.run, objects)]
+                == [obj.hash_hex
+                    for obj in getattr(incremental_report.run, objects)]
             )
+        assert (
+            rp_serial.vrps.as_frozenset()
+            == rp_incremental.vrps.as_frozenset()
         )
-        assert rp_serial.vrps.as_frozenset() == rp_parallel.vrps.as_frozenset()
-        assert rp_serial.vrps.content_hash() == rp_parallel.vrps.content_hash()
+        assert (
+            rp_serial.vrps.content_hash()
+            == rp_incremental.vrps.content_hash()
+        )
+        assert serial_report.run.issues == incremental_report.run.issues
 
     def test_lean_refresh_counts_without_retaining(self, world):
         rp, report = _refresh(world, lean=True)

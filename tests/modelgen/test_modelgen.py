@@ -217,12 +217,13 @@ class TestAmplifier:
         assert all("amp" in handle for handle in amp_handles)
         assert world.as_country.items() >= plain.as_country.items()
 
-    def test_expected_keypairs_accounts_for_the_subtree(self, world):
-        from repro.modelgen.deployment import expected_keypairs
-
-        base = DeploymentConfig(seed=1, isps_per_rir=2, customers_per_isp=1)
-        assert expected_keypairs(self.CONFIG) \
-            == expected_keypairs(base) + 1 + 2 * 6
+    def test_keygen_accounts_for_the_subtree(self, world):
+        # The amplifier CA, plus one CA and one ROA EE key per child point.
+        plain = build_deployment(
+            DeploymentConfig(seed=1, isps_per_rir=2, customers_per_isp=1)
+        )
+        assert world.key_factory.issued \
+            == plain.key_factory.issued + 1 + 2 * 6
 
     def test_validation(self):
         with pytest.raises(ValueError):

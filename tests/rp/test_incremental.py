@@ -117,7 +117,7 @@ class TestMemoUnits:
 
 class TestZeroChurnRefresh:
     def test_warm_refresh_is_equal_and_verification_free(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         first = rp.refresh()
         verify = rp.metrics.get("repro_crypto_verify_total")
         before = (verify.value(outcome="accepted")
@@ -133,7 +133,7 @@ class TestZeroChurnRefresh:
         assert second.run == cold_run(rp, world)
 
     def test_points_reported_reused(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         rp.refresh()
         points = rp.metrics.get("repro_incremental_points_total")
         validated_cold = points.value(outcome="validated")
@@ -159,7 +159,7 @@ class TestAttackSafety:
         return report
 
     def test_roa_whack_propagates(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         rp.refresh()
         whacked = world.continental.roa_named(world.target20_name)
         world.continental.revoke_roa(world.target20_name)
@@ -170,7 +170,7 @@ class TestAttackSafety:
                        asn=whacked.asn) not in report.vrps
 
     def test_roa_shrink_propagates(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         baseline = rp.refresh()
         old = world.continental.roa_named(world.target22_name)
         world.continental.revoke_roa(world.target22_name)
@@ -182,7 +182,7 @@ class TestAttackSafety:
         assert VRP.parse("63.174.16.0/22", old.asn) not in report.vrps
 
     def test_crl_revocation_kills_subtree(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         rp.refresh()
         world.sprint.revoke_cert(world.continental.certificate)
         report = self.assert_matches_cold(rp, world)
@@ -190,7 +190,7 @@ class TestAttackSafety:
         assert len(report.vrps) == 3
 
     def test_republished_revoked_cert_rejected_via_crl(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         rp.refresh()
         old_cert = world.continental.certificate
         world.sprint.revoke_cert(old_cert)
@@ -204,7 +204,7 @@ class TestAttackSafety:
         assert report.run.has_issue("revoked")
 
     def test_clock_advance_past_expiry(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         rp.refresh()
         world.clock.advance(91 * DAY)  # past every 90-day ROA window
         report = self.assert_matches_cold(rp, world)
@@ -212,14 +212,14 @@ class TestAttackSafety:
         assert report.run.has_issue("expired")
 
     def test_clock_advance_past_manifest_window(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         rp.refresh()
         world.clock.advance(2 * DAY)  # beyond the 1-day manifest window
         report = self.assert_matches_cold(rp, world)
         assert report.run.has_issue("manifest-stale")
 
     def test_small_clock_advance_still_reuses(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         rp.refresh()
         world.clock.advance(1 * HOUR)  # no validity edge crossed
         report = self.assert_matches_cold(rp, world)
@@ -228,7 +228,7 @@ class TestAttackSafety:
         assert len(report.vrps) == 8
 
     def test_renewal_after_expiry(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         rp.refresh()
         world.clock.advance(91 * DAY)
         rp.refresh()
@@ -245,7 +245,7 @@ class TestAttackSafety:
             "rsync://continental.example/repo/",
             file_name=world.target20_name,
         )
-        rp = make_rp(world, faults=faults, incremental=True)
+        rp = make_rp(world, faults=faults, mode="incremental")
         rp.refresh()
         files = rp.cache.all_files(world.clock.now)
         now = world.clock.now

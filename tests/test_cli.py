@@ -124,7 +124,7 @@ class TestCli:
         assert "Stalloris-grade slowdown" in out
         assert "arin-amp.example" in out
         # The attack table contrasts both postures on every engine.
-        for engine in ("serial", "incremental", "parallel"):
+        for engine in ("serial", "incremental"):
             assert f"{engine}/budget" in out
             assert f"{engine}/scheduled" in out
         # Unscheduled refresh crosses the stale grace; scheduled never does.
@@ -255,7 +255,6 @@ class TestRtrCommand:
         assert "top 5 world-build functions by self time" in out
         assert "tools/profile_refresh.py" in out
 
-    def test_profile_seed_and_workers(self, capsys):
-        out = run(capsys, "profile", "--top", "3", "--seed", "9",
-                  "--workers", "2")
-        assert "seed 9" in out and "parallel(2) mode" in out
+    def test_profile_seed(self, capsys):
+        out = run(capsys, "profile", "--top", "3", "--seed", "9")
+        assert "seed 9" in out and "serial mode" in out

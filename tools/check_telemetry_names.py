@@ -26,9 +26,8 @@ Statically checks every module under ``src/repro``:
 3. **No module-level pools.**  Worker pools (``WorkerPool``,
    ``multiprocessing.Pool``, ``concurrent.futures`` executors) must be
    context-managed inside a function, never constructed at module import
-   time — a module-level pool forks on import, leaks processes into
-   every importer, and breaks the worker-isolation guarantee of
-   :mod:`repro.parallel`.
+   time — a module-level pool forks on import and leaks processes into
+   every importer.
 
 4. **No silent broad excepts.**  A handler over ``Exception`` /
    ``BaseException`` (or a bare ``except:``) whose body is a lone

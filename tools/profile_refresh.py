@@ -40,11 +40,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="override the scale's pinned seed")
     parser.add_argument("--top", type=int, default=20,
                         help="hotspot rows to keep (default 20)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="parallel-engine workers (0 = serial)")
     parser.add_argument(
-        "--mode", choices=["serial", "incremental", "parallel"], default=None,
-        help="engine mode (default: inferred from --workers)",
+        "--mode", choices=["serial", "incremental"], default="serial",
+        help="engine mode (default: serial)",
     )
     parser.add_argument(
         "--full-objects", action="store_true",
@@ -63,7 +61,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         top=args.top,
         mode=args.mode,
-        workers=args.workers,
         lean=not args.full_objects,
     )
     print(report.render())
