@@ -56,7 +56,7 @@ def _service_over(world, **rp_kwargs):
 
 def test_sustained_throughput_over_10k_qps():
     world = build_deployment(MEDIUM)
-    rp, service = _service_over(world, mode="incremental")
+    rp, service = _service_over(world)
     world.clock.advance(HOUR)
     service.refresh()
 
@@ -124,7 +124,7 @@ def _mutate(rng, world):
 def test_100_cycle_campaign_serves_zero_stale_answers():
     world = build_deployment(MEDIUM)
     faults = FaultInjector(seed=9, background_rate=0.02)
-    rp, service = _service_over(world, mode="incremental", faults=faults)
+    rp, service = _service_over(world, faults=faults)
     world.clock.advance(HOUR)
     service.refresh()
 
@@ -177,7 +177,7 @@ def test_internet_scale_throughput():
     cache-served medium deployment above.
     """
     world = build_deployment(INTERNET_SCALES["internet-small"])
-    rp, service = _service_over(world, mode="incremental")
+    rp, service = _service_over(world)
     world.clock.advance(HOUR)
     service.refresh()
 

@@ -11,10 +11,11 @@ Two claims:
    service on the relying party itself.
 
 2. **Invariants at scale.**  The 200-cycle seeded campaign, mixing every
-   timing and Byzantine fault kind across serial / incremental relying
-   parties and an RTR pair, completes with zero unhandled
-   exceptions and the safety + equivalence invariants intact every cycle
-   — the acceptance sweep for the chaos harness.
+   timing and Byzantine fault kind against a faulted relying party (its
+   every warm run checked against a cold validator) and an RTR pair,
+   completes with zero unhandled exceptions and the safety + equivalence
+   invariants intact every cycle — the acceptance sweep for the chaos
+   harness.
 
 Artifact: ``BENCH_chaos.json`` under ``benchmarks/artifacts/``.
 """

@@ -3,9 +3,10 @@
 The relying party must keep its cache complete and current (Side Effect
 6), which in practice means revalidating it on every refresh.  This
 benchmark pins the property that makes that sustainable at deployment
-scale (the ROADMAP north star): with :class:`repro.rp.IncrementalState`
-attached, a refresh's *cryptographic* cost is proportional to what
-changed, not to how much is cached.
+scale (the ROADMAP north star): a relying party's validator replays
+unchanged publication points and memoizes signature verdicts, so a
+refresh's *cryptographic* cost is proportional to what changed, not to
+how much is cached.
 
 Two claims are asserted, not just timed:
 
@@ -44,18 +45,17 @@ def _verify_total() -> float:
             + counter.value(outcome="rejected"))
 
 
-def _incremental_rp(world) -> RelyingParty:
+def _make_rp(world) -> RelyingParty:
     return RelyingParty(
         world.trust_anchors,
         Fetcher(world.registry, world.clock),
         world.clock,
-        mode="incremental",
     )
 
 
 def test_zero_churn_refresh_verifies_nothing(benchmark):
     world = build_deployment(SCALES["medium"])
-    rp = _incremental_rp(world)
+    rp = _make_rp(world)
     cold = rp.refresh()
 
     before = _verify_total()
@@ -71,14 +71,14 @@ def test_zero_churn_refresh_verifies_nothing(benchmark):
     # validation).  Every benchmark round is warm and churn-free.
     report = benchmark(rp.refresh)
     assert report.run == cold.run
-    reused = rp.metrics.get("repro_incremental_points_total")
-    assert reused.value(outcome="reused") > 0
+    points = rp.metrics.get("repro_validation_points_total")
+    assert points.value(outcome="replayed") > 0
 
 
 @pytest.mark.parametrize("scale", list(SCALES))
 def test_warm_cost_tracks_churn_not_size(benchmark, scale):
     world = build_deployment(SCALES[scale])
-    rp = _incremental_rp(world)
+    rp = _make_rp(world)
     before = _verify_total()
     rp.refresh()
     cold_verifies = _verify_total() - before

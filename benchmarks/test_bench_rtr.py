@@ -75,8 +75,7 @@ def _run_fleet() -> dict:
     metrics = MetricsRegistry()
     fetcher = Fetcher(world.registry, world.clock, faults=faults,
                       metrics=metrics, identity="bench-rtr")
-    rp = RelyingParty(world.trust_anchors, fetcher, mode="incremental",
-                      metrics=metrics)
+    rp = RelyingParty(world.trust_anchors, fetcher, metrics=metrics)
     world.clock.advance(HOUR)
     rp.refresh()
 
@@ -263,8 +262,7 @@ def test_internet_scale_session_sync():
     world = build_deployment(INTERNET_SCALES["internet-small"])
     metrics = MetricsRegistry()
     fetcher = Fetcher(world.registry, world.clock, metrics=metrics)
-    rp = RelyingParty(world.trust_anchors, fetcher, mode="incremental",
-                      metrics=metrics)
+    rp = RelyingParty(world.trust_anchors, fetcher, metrics=metrics)
     world.clock.advance(HOUR)
     rp.refresh()
 

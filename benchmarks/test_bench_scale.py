@@ -17,7 +17,7 @@ Two families:
 
    - a cold streaming (lean serial) refresh completes inside a wall-clock
      and per-VRP budget;
-   - a warm zero-churn incremental refresh performs **zero** RSA
+   - a warm zero-churn refresh performs **zero** RSA
      verifications;
    - renewing one ROA costs exactly **4** RSA verifications — O(1) in
      deployment size, the same constant the hierarchical worlds pin;
@@ -63,7 +63,7 @@ if os.environ.get("REPRO_BENCH_SCALE") == "full":
 # Pinned bounds (generous for slow CI; typical measurements in comments).
 MAX_COLD_SECONDS = 60.0        # internet-small cold lean refresh: ~3.5 s
 MAX_COLD_PER_VRP_MS = 3.0      # ~0.35 ms/VRP measured
-WARM_VERIFIES = 0              # zero-churn incremental refresh
+WARM_VERIFIES = 0              # zero-churn warm refresh
 CHURN_VERIFIES = 4             # manifest + CRL + EE cert + ROA, any scale
 # Streaming peak: small constant + per-VRP term.  The non-lean path costs
 # ~7 KB/ROA of parsed objects at 10^4 ROAs; the lean bound below (~2.5
@@ -190,10 +190,9 @@ def test_internet_warm_and_churn_verifies_pinned():
     world, _build_seconds = _world("internet-small")
     rp = RelyingParty(
         world.trust_anchors, Fetcher(world.registry, world.clock),
-        mode="incremental",
     )
-    world.clock.advance(HOUR)   # step off the objects' not_before instants
-    rp.refresh()                # cold: populates memos and point results
+    world.clock.advance(HOUR)
+    rp.refresh()                # cold: stores point results and verdicts
 
     world.clock.advance(HOUR)
     before = _verify_total()

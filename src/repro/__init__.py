@@ -124,10 +124,8 @@ from .repository import (
 )
 from .resources import ASN, Afi, Prefix, PrefixTrie, ResourceSet
 from .rp import (
-    ENGINE_MODES,
     VRP,
     DegradationReport,
-    IncrementalState,
     OriginValidationOutcome,
     PathValidator,
     RefreshReport,
@@ -171,11 +169,11 @@ __all__ = [
     "ChainedRtrCache", "ChurnConfig",
     "ChurnEngine", "CircuitBreaker", "Clock", "ClosedLoopSimulation",
     "Counter", "DAY", "DegradationReport", "DeploymentConfig",
-    "DetectionExperiment", "DuplexPipe", "ENGINE_MODES", "FaultInjector",
+    "DetectionExperiment", "DuplexPipe", "FaultInjector",
     "FaultKind", "FaultPlan", "FetchResult", "FetchScheduler", "FetchStatus",
     "Fetcher",
     "Figure2World", "Gauge", "HOUR", "Histogram", "HistoryEntry",
-    "INTERNET_SCALES", "IncrementalState", "KeyFactory", "LocalCache",
+    "INTERNET_SCALES", "KeyFactory", "LocalCache",
     "MetricsRegistry",
     "OriginValidationOutcome", "PERSISTENT", "PathValidator",
     "PlannedFault", "Prefix", "PrefixTrie", "QueryService", "QueryStatus",

@@ -18,7 +18,7 @@ The serving layer is built from three production idioms:
   plus the query (:mod:`repro.api.cache`): a refresh that changes
   nothing keeps every entry warm, and any VRP change rotates the key so
   stale answers can never be served — the content-addressed idiom of the
-  incremental engine, applied to responses.
+  validator's point replay, applied to responses.
 - **N-shard request routing** with per-shard telemetry counters and
   histograms (:mod:`repro.api.shard`).
 

@@ -9,9 +9,9 @@ that the relying parties uphold their robustness contract:
 
 - **safety**: a faulted relying party never validates a VRP the clean
   one would not (faults subtract, never invent);
-- **equivalence**: the serial and incremental engines agree exactly
-  under an identical fault stream, as does an attached RTR
-  router after resync;
+- **equivalence**: a faulted relying party's warm run equals a cold
+  validator's run over the same cache, and an attached RTR router
+  matches it after resync;
 - **no-crash**: no fault, however malformed, escapes containment as an
   unhandled exception;
 - **bounded interference**: a relying party running the fetch scheduler

@@ -4,20 +4,17 @@ One campaign builds **three identically seeded worlds** and runs them in
 clock lockstep for N refresh cycles:
 
 - *clean*: no faults at all; the ground truth.
-- *serial*, *incremental*: one relying party each, both
-  fed the **identical** seeded fault plan through their own
-  :class:`~repro.repository.faults.FaultInjector` (same seed, same fetch
-  order, therefore the same fault stream).
+- *faulted*: a relying party fed the seeded fault plan through its own
+  :class:`~repro.repository.faults.FaultInjector`.
+- *scheduled*: a relying party running the
+  :class:`~repro.repository.scheduler.FetchScheduler` defense under the
+  same fault plan.  Its fetch order legitimately diverges (deferral is
+  the whole point); it is held to safety — and to **bounded
+  interference**: under any plan, a slow or amplifying authority must
+  not starve *unrelated* authorities' publication points beyond a
+  configured staleness bound.
 
-A fourth *scheduled* world rides along: a serial relying party running
-the :class:`~repro.repository.scheduler.FetchScheduler` defense under
-the same fault plan.  Its fetch order legitimately diverges (deferral is
-the whole point), so it is exempt from the equivalence invariant but
-subject to safety — and to **bounded interference**: under any plan, a
-slow or amplifying authority must not starve *unrelated* authorities'
-publication points beyond a configured staleness bound.
-
-An RTR fan-out rides on the serial variant: the cache + router pair,
+An RTR fan-out rides on the faulted variant: the cache + router pair,
 plus a :class:`~repro.rtr.CacheChain` of non-validating caches
 re-serving the cache's beliefs tier by tier — with its own chaos:
 garbage bytes mid-session, abrupt channel closes, and severed chain
@@ -27,10 +24,13 @@ After every cycle three invariants are checked:
 
 - **safety** — each faulted variant's VRP set is a subset of the clean
   run's: faults may *remove* validated origins, never invent them.
-- **equivalence** — the serial and incremental RPs agree exactly
-  under the identical fault plan, the attached router's table matches
-  after resync, and **every chained cache in every tier** serves exactly
-  the validating RP's set once pumped.
+- **equivalence** — each faulted relying party's last run equals, in
+  VRPs and issues, a fresh :class:`~repro.rp.PathValidator` run over the
+  same cache snapshot at the same instant.  The fresh validator has
+  nothing stored, so it is the cold reference for every point the warm
+  relying party replayed.  The attached router's table matches after
+  resync, and **every chained cache in every tier** serves exactly the
+  validating RP's set once pumped.
 - **no-crash** — nothing anywhere raises out of the cycle: a violation
   of the containment contract is an unhandled exception here.
 - **bounded interference** — on the scheduled variant, every cached
@@ -56,7 +56,7 @@ from ..repository import Fetcher, FaultInjector
 from ..repository.faults import POINT_KINDS
 from ..repository.scheduler import SchedulerConfig
 from ..repository.uri import RsyncUri
-from ..rp import RelyingParty
+from ..rp import PathValidator, RelyingParty
 from ..rtr import (
     CacheChain,
     DuplexPipe,
@@ -75,11 +75,6 @@ __all__ = [
     "run_campaign",
     "shrink_plan",
 ]
-
-# The faulted execution strategies compared against clean: the two
-# engine modes of RelyingParty.
-_VARIANTS = ("serial", "incremental")
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -184,13 +179,33 @@ class _Variant:
         )
         self.rp = RelyingParty(
             world.trust_anchors, fetcher,
-            mode=(name if name == "incremental" else "serial"),
             schedule=schedule,
             metrics=self.metrics,
         )
 
     def vrp_set(self) -> frozenset:
         return self.rp.vrps.as_frozenset()
+
+    def cold_divergence(self) -> str | None:
+        """How the last run differs from a cold validation of the same
+        cache at the same instant, or None when it does not."""
+        validator = self.rp.validator
+        cold = PathValidator(
+            validator.trust_anchors,
+            strict_manifests=validator.strict_manifests,
+            collect_objects=validator.collect_objects,
+            metrics=MetricsRegistry(),
+        )
+        now = self.rp.clock.now
+        reference = cold.run(self.rp.cache.snapshot(now), now)
+        warm = self.rp.last_run
+        if warm.vrps.as_frozenset() != reference.vrps.as_frozenset():
+            return (f"{len(warm.vrps)} VRPs vs {len(reference.vrps)} from "
+                    "a cold validator")
+        if warm.issues != reference.issues:
+            return (f"{len(warm.issues)} issues vs {len(reference.issues)} "
+                    "from a cold validator")
+        return None
 
 
 class _Campaign:
@@ -222,22 +237,19 @@ class _Campaign:
         self.clean = _Variant(
             "clean", build_deployment(deployment), config, faulted=False
         )
-        self.faulted = [
-            _Variant(name, build_deployment(deployment), config, faulted=True)
-            for name in _VARIANTS
-        ]
-        # The defense under test: a serial RP running the fetch scheduler
+        self.faulted = _Variant(
+            "faulted", build_deployment(deployment), config, faulted=True
+        )
+        # The defense under test: a relying party running the fetch scheduler
         # with an authority budget of one attempt deadline — enough for a
         # first contact plus a recovery probe per slow host per cycle.
         self.scheduled = _Variant(
             "scheduled", build_deployment(deployment), config, faulted=True,
             schedule=SchedulerConfig(authority_budget=config.attempt_timeout),
         )
-        self.worlds = (
-            [self.clean.world]
-            + [v.world for v in self.faulted]
-            + [self.scheduled.world]
-        )
+        self.worlds = [
+            self.clean.world, self.faulted.world, self.scheduled.world
+        ]
         self.t0 = self.scheduled.world.clock.now
 
         points = sorted(
@@ -280,15 +292,13 @@ class _Campaign:
             if ca.issued_roas
         ]
 
-        # RTR rides on the serial variant.
-        self.server = RtrCacheServer(
-            metrics=self.faulted[0].metrics
-        )
+        # RTR rides on the faulted variant.
+        self.server = RtrCacheServer(metrics=self.faulted.metrics)
         self.pipe: DuplexPipe | None = None
         self.router: RtrRouterClient | None = None
         self.rtr_rng = random.Random(config.seed ^ 0x52545221)
         self._attach_router()
-        # The fan-out tree: non-validating caches re-serving the serial
+        # The fan-out tree: non-validating caches re-serving the faulted
         # variant's beliefs, checked tier by tier every cycle.
         self.chain: CacheChain | None = None
         if config.rtr_tiers > 0:
@@ -359,7 +369,7 @@ class _Campaign:
 
     def _schedule(self, cycle: int) -> None:
         active = self.plan.active_at(cycle)
-        for variant in [*self.faulted, self.scheduled]:
+        for variant in (self.faulted, self.scheduled):
             variant.faults.clear()
             for planned in active:
                 planned.schedule_on(variant.faults)
@@ -392,7 +402,7 @@ class _Campaign:
             caches[self.rtr_rng.randrange(len(caches))].pipe.close()
             self._m_rtr_events.inc(kind="chain-close")
             result.rtr_events += 1
-        self.server.update(self.faulted[0].rp.vrps)
+        self.server.update(self.faulted.rp.vrps)
         self.router.process()   # Serial Notify -> router polls
         self.server.process()   # answer the Serial Query
         self.router.process()   # apply the delta
@@ -414,10 +424,8 @@ class _Campaign:
         result.clean_vrps = len(self.clean.rp.vrps)
         if self.chain is not None:
             result.chain_caches = len(self.chain.caches())
-        for variant in self.faulted:
-            result.faults_fired += (
-                len(variant.faults.applied) + variant.faults.applied_dropped
-            )
+        faults = self.faulted.faults
+        result.faults_fired = len(faults.applied) + faults.applied_dropped
         return result
 
     def _cycle(self, cycle: int, result: CampaignResult) -> Violation | None:
@@ -426,18 +434,11 @@ class _Campaign:
             self._churn(cycle)
             self._plant(cycle)
             self._schedule(cycle)
-            reports = {}
-            reports["clean"] = self.clean.rp.refresh()
-            for variant in self.faulted:
-                reports[variant.name] = variant.rp.refresh()
-            reports["scheduled"] = self.scheduled.rp.refresh()
-            serial = self.faulted[0]
-            result.quarantined_objects += len(
-                reports["serial"].degradation.quarantined_objects
-            )
-            result.degraded_points += len(
-                reports["serial"].degradation.degraded_points
-            )
+            self.clean.rp.refresh()
+            degradation = self.faulted.rp.refresh().degradation
+            self.scheduled.rp.refresh()
+            result.quarantined_objects += len(degradation.quarantined_objects)
+            result.degraded_points += len(degradation.degraded_points)
             self._rtr_cycle(result)
         except Exception as exc:  # the no-crash invariant itself
             return Violation(
@@ -445,7 +446,7 @@ class _Campaign:
             )
 
         clean_set = self.clean.vrp_set()
-        for variant in [*self.faulted, self.scheduled]:
+        for variant in (self.faulted, self.scheduled):
             extras = variant.vrp_set() - clean_set
             if extras:
                 shown = ", ".join(str(v) for v in sorted(extras)[:3])
@@ -454,32 +455,31 @@ class _Campaign:
                     f"{variant.name} RP accepted {len(extras)} VRP(s) the "
                     f"clean run never produced: {shown}",
                 )
-        serial_set = serial.vrp_set()
-        for variant in self.faulted[1:]:
-            if variant.vrp_set() != serial_set:
+        for variant in (self.faulted, self.scheduled):
+            divergence = variant.cold_divergence()
+            if divergence is not None:
                 return Violation(
                     cycle, "equivalence",
-                    f"{variant.name} RP diverged from serial under the "
-                    f"identical fault plan "
-                    f"({len(variant.vrp_set())} vs {len(serial_set)} VRPs)",
+                    f"{variant.name} RP's warm run diverged: {divergence}",
                 )
+        served_set = self.faulted.vrp_set()
         router_set = self.router.vrp_set().as_frozenset()
-        if router_set != serial_set:
+        if router_set != served_set:
             return Violation(
                 cycle, "equivalence",
                 f"router table diverged from its cache after resync "
-                f"({len(router_set)} vs {len(serial_set)} VRPs)",
+                f"({len(router_set)} vs {len(served_set)} VRPs)",
             )
         if self.chain is not None:
             for tier_index in range(self.chain.tiers):
                 for position, cache in enumerate(self.chain.tier(tier_index)):
                     served = cache.current_vrps()
-                    if served != serial_set:
+                    if served != served_set:
                         return Violation(
                             cycle, "equivalence",
                             f"chained cache tier {tier_index} #{position} "
                             f"diverged from the validating RP "
-                            f"({len(served)} vs {len(serial_set)} VRPs)",
+                            f"({len(served)} vs {len(served_set)} VRPs)",
                         )
         return self._check_interference(cycle, result)
 

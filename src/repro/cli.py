@@ -13,7 +13,7 @@
     python -m repro granularity     # Section 7 takedown-granularity sweep
     python -m repro sideeffects     # all seven side effects, demonstrated
     python -m repro resilience      # stalled authority vs. resilient fetcher
-    python -m repro perf            # cold vs. warm incremental revalidation
+    python -m repro perf            # cold vs. warm revalidation
     python -m repro refresh         # one cold refresh cycle, counted
     python -m repro chaos           # Byzantine fault campaign + shrink demo
     python -m repro stalloris       # amplified slowdown vs. fetch scheduler
@@ -426,37 +426,34 @@ def cmd_perf(args) -> None:
             seed=_seed(args, 21), isps_per_rir=6, customers_per_isp=2,
         )
     world = build_deployment(config)
-    rp = _build_rp(world, mode="incremental")
+    rp = _build_rp(world)
     registry = rp.metrics
+    memo = rp.validator.verify_memo
 
     def verify_total() -> float:
         counter = registry.get("repro_crypto_verify_total")
         return (counter.value(outcome="accepted")
                 + counter.value(outcome="rejected"))
 
-    def memo_counts() -> tuple[float, float]:
-        memo = registry.get("repro_incremental_verify_memo_total")
-        return memo.value(result="hit"), memo.value(result="miss")
+    def memo_counts() -> tuple[int, int]:
+        return memo.hits, memo.misses
 
     def point_counts() -> tuple[float, float]:
-        points = registry.get("repro_incremental_points_total")
-        return points.value(outcome="reused"), points.value(outcome="validated")
+        points = registry.get("repro_validation_points_total")
+        return (points.value(outcome="replayed"),
+                points.value(outcome="validated"))
 
     epochs = args.epochs
     churn_epoch = epochs // 2
     churned_ca = next(ca for ca in world.authorities() if ca.issued_roas)
     roa_name = next(iter(churned_ca.issued_roas))
-    # Step off the objects' exact not_before instants: a run performed
-    # while now sits *on* a validity boundary is conservatively
-    # revalidated after the boundary passes (see repro.rp.incremental).
-    world.clock.advance(HOUR)
 
     print("Incremental validation: cold start, then steady-state refreshes\n")
     print(f"deployment: {world.roa_count()} ROAs across "
           f"{len(world.authorities())} authorities; one ROA renewed at "
           f"epoch {churn_epoch}\n")
     print("epoch  kind   RSA-verifies  memo-hit-rate  "
-          "points reused/validated  VRPs")
+          "points replayed/validated  VRPs")
     cold_verifies = warm_verifies = 0.0
     for epoch in range(epochs):
         kind = "cold"
@@ -476,7 +473,7 @@ def cmd_perf(args) -> None:
         elif epoch == 1:
             warm_verifies = v1 - v0
         print(f"{epoch:>5}  {kind:<5}  {int(v1 - v0):>12}  "
-              f"{hit_rate:>12.1%}  {int(r1 - r0):>13}/{int(c1 - c0)}"
+              f"{hit_rate:>12.1%}  {int(r1 - r0):>15}/{int(c1 - c0)}"
               f"  {len(report.vrps):>4}")
     print(f"\n=> zero-churn warm refresh: {int(warm_verifies)} RSA "
           f"verifications (cold start needed {int(cold_verifies)});\n"
@@ -489,8 +486,8 @@ def cmd_chaos(args) -> None:
 
     config = CampaignConfig(seed=_seed(args, 7), cycles=args.cycles)
     print(f"Chaos campaign: seed {config.seed}, {config.cycles} cycles — "
-          "serial vs incremental relying\nparties, a scheduled RP, plus an "
-          "RTR router, under one seeded fault plan\n")
+          "a faulted relying party checked\nagainst a cold validator, a "
+          "scheduled RP, plus an RTR router, under one\nseeded fault plan\n")
     result = run_campaign(config)
     print(f"fault plan ({len(result.plan)} faults):")
     print(result.plan.describe())
@@ -539,13 +536,13 @@ def cmd_stalloris(args) -> None:
     print("Stalloris-grade slowdown: one authority's delegation tree turns "
           "into\n"
           f"{config.amplification_points} stalled publication points; "
-          "every engine measured with the global\n"
+          "measured with the global\n"
           f"fetch budget ({config.fetch_budget}s) and with the per-authority "
           f"scheduler ({config.attempt_timeout}s/host)\n")
     report = measure_stalloris(config)
     print(report.render())
-    budget = report.run("serial", False)
-    sched = report.run("serial", True)
+    budget = report.run(scheduled=False)
+    sched = report.run(scheduled=True)
     print()
     print(f"=> the budgeted fetcher burns {config.fetch_budget}s/cycle "
           "inside the attacker's subtree\n"
@@ -568,7 +565,7 @@ def cmd_api(args) -> None:
 
     scale, config = _deployment_config(args, "small", 7)
     world = build_deployment(config)
-    rp = _build_rp(world, mode="incremental")
+    rp = _build_rp(world)
     # The unthrottled service for the classification and diff sections;
     # rate limiting gets its own dedicated demo below.
     service = QueryService(rp, config=ApiConfig(
@@ -640,7 +637,7 @@ def cmd_rtr(args) -> None:
 
     scale, config = _deployment_config(args, "small", 7)
     world = build_deployment(config)
-    rp = _build_rp(world, mode="incremental")
+    rp = _build_rp(world)
     world.clock.advance(HOUR)
     rp.refresh()
 

@@ -63,7 +63,6 @@ class ProfileReport:
 
     scale: str
     seed: int
-    mode: str                 # "serial" / "incremental"
     lean: bool
     roa_count: int
     authority_count: int
@@ -91,8 +90,7 @@ class ProfileReport:
         """The text artifact: a header block and the ranked tables."""
         lines = [
             f"Profiled refresh over the {self.scale!r} deployment "
-            f"(seed {self.seed}, {self.mode} mode"
-            f"{', lean' if self.lean else ''})",
+            f"(seed {self.seed}{', lean' if self.lean else ''})",
             "",
             f"deployment: {self.roa_count} ROAs across "
             f"{self.authority_count} authorities "
@@ -118,7 +116,6 @@ class ProfileReport:
         return {
             "scale": self.scale,
             "seed": self.seed,
-            "mode": self.mode,
             "lean": self.lean,
             "roa_count": self.roa_count,
             "authority_count": self.authority_count,
@@ -185,7 +182,6 @@ def profile_refresh(
     *,
     seed: int | None = None,
     top: int = 15,
-    mode: str = "serial",
     lean: bool = True,
 ) -> ProfileReport:
     """Build a deployment, profile one full refresh, rank the hotspots.
@@ -206,8 +202,7 @@ def profile_refresh(
 
     *lean* defaults to True (the streaming relying party) because that
     is the configuration the Internet scales are meant to run in; pass
-    ``lean=False`` to profile object retention too.  *mode* selects the
-    engine exactly like :class:`~repro.rp.RelyingParty`.
+    ``lean=False`` to profile object retention too.
     """
     from .crypto import KeyFactory
     from .repository import Fetcher
@@ -229,7 +224,7 @@ def profile_refresh(
     fetcher = Fetcher(world.registry, world.clock)
     rp = RelyingParty(
         world.trust_anchors, fetcher, metrics=fetcher.metrics,
-        mode=mode, lean=lean,
+        lean=lean,
     )
     profiler = cProfile.Profile()
     refresh_start = time.perf_counter()
@@ -242,7 +237,6 @@ def profile_refresh(
     return ProfileReport(
         scale=scale,
         seed=config.seed,
-        mode=rp.mode,
         lean=lean,
         roa_count=world.roa_count(),
         authority_count=len(world.authorities()),

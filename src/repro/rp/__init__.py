@@ -11,12 +11,7 @@ from .alt_semantics import (
     SubprefixDisposition,
     classify_disposition,
 )
-from .incremental import (
-    IncrementalState,
-    ParseMemo,
-    PointResult,
-    VerificationMemo,
-)
+from .incremental import PointResult, VerificationMemo
 from .lta import LocalOverrides, classify_with_overrides
 from .origin import (
     OriginValidationOutcome,
@@ -26,12 +21,7 @@ from .origin import (
     validate,
 )
 from .pathval import PathValidator, Severity, ValidationIssue, ValidationRun
-from .relying_party import (
-    ENGINE_MODES,
-    DegradationReport,
-    RefreshReport,
-    RelyingParty,
-)
+from .relying_party import DegradationReport, RefreshReport, RelyingParty
 from .states import Route, RouteValidity
 from .suspenders import RetainedVrp, SuspendersRelyingParty
 from .vrp import VRP, VrpSet
@@ -39,14 +29,11 @@ from .vrp import VRP, VrpSet
 __all__ = [
     "DispositionVrp",
     "DispositionVrpSet",
-    "ENGINE_MODES",
     "LocalOverrides",
     "SubprefixDisposition",
     "classify_disposition",
     "DegradationReport",
-    "IncrementalState",
     "OriginValidationOutcome",
-    "ParseMemo",
     "PointResult",
     "VerificationMemo",
     "RetainedVrp",

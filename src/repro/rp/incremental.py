@@ -1,4 +1,4 @@
-"""Incremental validation: content-addressed memos and dirty-point reuse.
+"""What a validator keeps between runs: point results and signature verdicts.
 
 A relying party that keeps its cache complete (the property Side Effect 6
 of the paper turns on) must revalidate it on every refresh — and a naive
@@ -6,120 +6,118 @@ validator pays for the *whole* repository every time: every object is
 re-parsed and every RSA signature re-checked even when not a single byte
 changed since the last epoch.  Production relying parties survive at
 deployment scale because their steady-state cost is proportional to
-*churn*, not repository size.  This module gives the reproduction the
-same property, without changing a single validation verdict:
+*churn*, not repository size.  :class:`~repro.rp.PathValidator` gets the
+same property from two pieces of state, neither of which changes a
+single validation verdict:
 
+- :class:`PointResult` — one publication point's local outcome, stored
+  with the exact key under which replaying it is the same as
+  recomputing it.  The validator keeps the result of every point its
+  last run visited and replays a point whose key still matches.
 - :class:`VerificationMemo` — signature verification is a pure function
   of ``(key, message, signature)``.  Objects are content-addressed (their
   ``hash_hex`` covers payload *and* signature), so the verdict for
-  ``(object hash, key fingerprint)`` can be cached across rounds and
-  refreshes; a hit skips the modular exponentiation entirely.
-- :class:`ParseMemo` — parsing is a pure function of the bytes.  Cached
-  bytes that did not change parse to the same (immutable) object, so the
-  memo returns the previously built object; parse *failures* are cached
-  too (corrupt bytes stay corrupt).
-- :class:`PointResult` / :class:`IncrementalState` — the per-publication-
-  point unit of reuse.  A point's validation outcome is a pure function
-  of (issuing certificate, strictness policy, the bytes of every cached
-  copy, and which side of each time boundary ``now`` falls on).  The
-  validator stores each point's local outcome with that exact
-  fingerprint; a later run replays it verbatim when nothing it depends on
-  moved, and recomputes it (a *dirty* point) otherwise.
+  ``(object hash, key fingerprint)`` can be cached across runs; a hit
+  skips the modular exponentiation entirely.  When a churned point is
+  revalidated, its unchanged objects hit the memo, so one renewed ROA
+  costs its own signature checks and the point's new manifest and CRL.
 
-Invalidation rules — the attack-safety contract
------------------------------------------------
+Reuse rules — the attack-safety contract
+----------------------------------------
 
-A cached point result is reused only when **all** of the following hold,
-otherwise it is discarded and the point revalidated from bytes:
+A stored point result is replayed only when **all** of the following
+hold, otherwise the point is revalidated from bytes (the ``reason`` label
+of ``repro_incremental_invalidations_total`` says which rule failed):
 
+- ``new``: the previous run visited the point at all.
+- ``issuer``: the issuing CA certificate is byte-identical.  A shrunk or
+  reissued parent dirties every point it issues for.
 - ``content``: every cached copy (primary and mirrors) of the point has
   the same content digest as when the result was computed, and the same
   set of copies is present.  A whacked, shrunk, replaced, or newly
   published object — and any CRL or manifest change, which live in the
   same point — therefore always dirties the point.
-- ``issuer``: the issuing CA certificate is byte-identical.  A shrunk or
-  reissued parent dirties every point it issues for.
-- ``time``: ``now`` is on the same side of every validity boundary
-  (``not_before`` / ``not_after`` of each parseable object, including
-  embedded EE certificates; CRL and manifest ``next_update``) that the
-  original computation could have observed.  Clock movement past any
-  expiry or staleness edge dirties the point.
-- ``policy``: the manifest-strictness policy is unchanged.
+- ``time``: ``now`` is on the same side of every *time edge* of the
+  point.  Every time predicate validation evaluates is ``edge <= now``
+  for an edge of an object it parsed: ``not_before <= now`` (edge
+  ``not_before``), ``now <= not_after`` (false from edge
+  ``not_after + 1`` on) and ``next_update < now`` (``next_update`` is the
+  CRL's or manifest's ``not_after``, so the same edge).  The validator
+  records both edges of every object the point's validation parsed,
+  embedded EE certificates included, so the count of edges ``<= now`` —
+  one ``bisect_right`` — fixes every predicate.  An issue whose message
+  quotes ``now`` (an expired object, a stale CRL or manifest) adds the
+  edges ``now`` and ``now + 1``, so that point replays only at the same
+  instant.  Clocks here can be rewound; the rule holds in both
+  directions.
+
+The manifest policy is not part of the key: a validator's policy is fixed
+when it is built, and each validator keeps its own results.
 
 Because reuse replays the exact issues, certificates, ROAs, and VRPs the
-cold computation produced, an incremental run is byte-for-byte identical
-to a cold :meth:`repro.rp.PathValidator.run` on the same cache — the
-property ``tests/rp/test_incremental.py`` enforces after whacking,
-revocation, and expiry events, and ``benchmarks/test_bench_incremental.py``
-pins the zero-churn/zero-verification headline claim.
+cold computation produced, a warm run is byte-for-byte identical to a
+fresh validator's run on the same cache — the property
+``tests/rp/test_incremental.py`` enforces after whacking, revocation, and
+expiry events, and ``benchmarks/test_bench_incremental.py`` pins the
+zero-churn/zero-verification headline claim.
 
-Memos are bounded (``max_entries``); when a memo fills up it is cleared
-wholesale — crude, but deterministic and safe (a memo is only ever an
-optimization).  All decisions are instrumented; see docs/performance.md
-for how to read the metrics.
+There is no parse memo: keeping every parsed object alive costs more
+memory than the whole lean refresh it would speed up, and point replay
+already skips the parses of every unchanged point.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from ..crypto import RsaPublicKey, sha256_hex
-from ..rpki.errors import ObjectFormatError
+from ..crypto import RsaPublicKey, sha256
 from ..rpki.ghostbusters import GhostbustersRecord
 from ..rpki.objects import SignedObject
-from ..rpki.parse import parse_object
+# Not called here: the pipeline benchmark's tracer wraps this binding by
+# name, and a traced run fails if it is missing.
+from ..rpki.parse import parse_object  # noqa: F401
 from ..rpki.roa import Roa
-from ..telemetry import MetricsRegistry, default_registry
 from .vrp import VRP
 
 __all__ = [
-    "DEFAULT_MEMO_ENTRIES",
-    "IncrementalState",
-    "ParseMemo",
+    "MEMO_ENTRIES",
     "PointResult",
     "VerificationMemo",
     "time_signature",
 ]
 
-# Generous for any simulated deployment; bounds long-running monitors.
-DEFAULT_MEMO_ENTRIES = 65536
-
-# Blobs above this size bypass the parse memo entirely: a decoder-bomb
-# payload (repository/faults.nested_bomb) must not pin memory in — or
-# poison — a cache that outlives the refresh that fetched it.  Far above
-# any legitimate object in the simulation (hundreds of bytes), below the
-# default bomb (~20 KiB).
-DEFAULT_MAX_OBJECT_BYTES = 16 << 10
+# Verdicts the memo holds before it is cleared wholesale: room for every
+# signature of an internet-small deployment (about two per ROA), and a
+# bound for long-running monitors.
+MEMO_ENTRIES = 65536
 
 
-def time_signature(boundaries: tuple[int, ...], now: int) -> tuple[int, int]:
-    """Which side of every boundary *now* falls on, as two counts.
+def time_signature(edges: tuple[int, ...], now: int) -> int:
+    """How many of the sorted time *edges* are at or before *now*.
 
-    *boundaries* must be sorted.  Every time predicate the validator
-    evaluates (``not_before <= now``, ``now <= not_after``,
-    ``next_update < now``) flips only when ``now`` crosses one of the
-    collected boundary values, so two instants with the same
-    ``(how many boundaries are < now, how many are <= now)`` counts make
-    every predicate evaluate identically — the cached verdicts still
-    hold.  Works in both directions (clocks here can be rewound).
+    Two instants with the same count evaluate every ``edge <= now``
+    predicate identically (see the module docstring).
     """
-    return (bisect_left(boundaries, now), bisect_right(boundaries, now))
+    return bisect_right(edges, now)
 
 
 class VerificationMemo:
     """Content-addressed cache of signature-verification verdicts.
 
-    Keyed by ``(object hash, key fingerprint)``: the object's
-    ``hash_hex`` covers its signed bytes *and* its signature, and the key
-    fingerprint is the raw ``(modulus, exponent)`` pair, so a hit is
-    exactly a re-verification of the same bytes under the same key — a
-    pure recomputation, skipped.
+    Keyed by the SHA-256 of ``(object hash, key fingerprint)``: the
+    object's ``hash_hex`` covers its signed bytes *and* its signature,
+    and the key fingerprint is the raw ``(modulus, exponent)`` pair, so a
+    hit is exactly a re-verification of the same bytes under the same key
+    — a pure recomputation, skipped.  One 32-byte digest per entry keeps
+    an entry at about a third of what holding the hash string and the key
+    integers would cost.  Holds at most :data:`MEMO_ENTRIES`
+    verdicts; a full memo is cleared wholesale, which is crude but
+    deterministic and safe (the memo is only ever an optimization).
     """
 
-    def __init__(self, *, max_entries: int | None = DEFAULT_MEMO_ENTRIES):
-        self._verdicts: dict[tuple[str, tuple[int, int]], bool] = {}
-        self.max_entries = max_entries
+    def __init__(self) -> None:
+        self._verdicts: dict[bytes, bool] = {}
         self.hits = 0
         self.misses = 0
 
@@ -128,71 +126,19 @@ class VerificationMemo:
 
     def verify_object(self, obj: SignedObject, key: RsaPublicKey) -> bool:
         """Memoized ``obj.verify_signature(key)``."""
-        memo_key = (obj.hash_hex, key.cache_key)
+        modulus, exponent = key.cache_key
+        memo_key = sha256(b"%s:%x:%x" % (obj.hash_hex.encode(), modulus,
+                                          exponent))
         verdict = self._verdicts.get(memo_key)
         if verdict is not None:
             self.hits += 1
             return verdict
         self.misses += 1
         verdict = obj.verify_signature(key)
-        if self.max_entries is not None and len(self._verdicts) >= self.max_entries:
+        if len(self._verdicts) >= MEMO_ENTRIES:
             self._verdicts.clear()
         self._verdicts[memo_key] = verdict
         return verdict
-
-
-class ParseMemo:
-    """Content-addressed cache of :func:`repro.rpki.parse.parse_object`.
-
-    Parsed objects are immutable (:class:`SignedObject` freezes payload
-    access by convention and equality is by serialized bytes), so sharing
-    one instance across runs is safe.  Failures are cached as the error
-    message and re-raised as a fresh :class:`ObjectFormatError`.
-    """
-
-    def __init__(
-        self,
-        *,
-        max_entries: int | None = DEFAULT_MEMO_ENTRIES,
-        max_object_bytes: int | None = DEFAULT_MAX_OBJECT_BYTES,
-    ):
-        self._objects: dict[str, SignedObject | str] = {}
-        self.max_entries = max_entries
-        self.max_object_bytes = max_object_bytes
-        self.hits = 0
-        self.misses = 0
-        self.oversized = 0
-
-    def __len__(self) -> int:
-        return len(self._objects)
-
-    def parse(self, data: bytes) -> SignedObject:
-        """Memoized parse; raises :class:`ObjectFormatError` like the real one."""
-        if (
-            self.max_object_bytes is not None
-            and len(data) > self.max_object_bytes
-        ):
-            # Too big to be worth remembering (and possibly hostile):
-            # parse without touching the memo at all.
-            self.oversized += 1
-            return parse_object(data)
-        digest = sha256_hex(data)
-        cached = self._objects.get(digest)
-        if cached is not None:
-            self.hits += 1
-            if isinstance(cached, str):
-                raise ObjectFormatError(cached)
-            return cached
-        self.misses += 1
-        if self.max_entries is not None and len(self._objects) >= self.max_entries:
-            self._objects.clear()
-        try:
-            obj = parse_object(data)
-        except ObjectFormatError as exc:
-            self._objects[digest] = str(exc)
-            raise
-        self._objects[digest] = obj
-        return obj
 
 
 @dataclass(frozen=True)
@@ -206,16 +152,15 @@ class PointResult:
     ``roa_count`` is the number of validated ROAs; a lean validator
     leaves ``roas`` empty and keeps only this count.
 
-    ``fingerprint`` is the exact reuse key (issuer certificate hash,
-    strictness policy, per-copy content digests); ``boundaries`` and
-    ``time_sig`` encode the time-window status; ``verify_count`` is how
-    many signature checks the cold computation performed, credited to the
-    skipped-verifications counter on every reuse.
+    ``fingerprint`` is the reuse key (issuer certificate hash, per-copy
+    content digests); ``edges`` are the sorted time edges of every object
+    the computation parsed and ``time_sig`` is
+    ``time_signature(edges, now)`` at the instant it ran.
     """
 
     fingerprint: tuple
-    boundaries: tuple[int, ...]
-    time_sig: tuple[int, int]
+    edges: tuple[int, ...]
+    time_sig: int
     selected_uri: str
     issues: tuple = ()
     children: tuple = ()
@@ -223,128 +168,3 @@ class PointResult:
     roa_count: int = 0
     vrps: tuple[VRP, ...] = ()
     contact: GhostbustersRecord | None = None
-    verify_count: int = 0
-
-
-class IncrementalState:
-    """Everything a validator carries across runs to validate incrementally.
-
-    Hand one instance to :class:`~repro.rp.PathValidator` (or let
-    :class:`~repro.rp.RelyingParty` build one with ``mode="incremental"``)
-    and keep it alive across refreshes; dropping it is always safe and
-    merely makes the next run cold.
-    """
-
-    def __init__(
-        self,
-        *,
-        metrics: MetricsRegistry | None = None,
-        max_entries: int | None = DEFAULT_MEMO_ENTRIES,
-    ):
-        self.verify_memo = VerificationMemo(max_entries=max_entries)
-        self.parse_memo = ParseMemo(max_entries=max_entries)
-        # Point cache keyed by the issuing CA's subject key id: one CA,
-        # one publication point (mirrors are copies inside one result).
-        self.points: dict[str, PointResult] = {}
-        self.metrics = metrics if metrics is not None else default_registry()
-        self._m_verify_memo = self.metrics.counter(
-            "repro_incremental_verify_memo_total",
-            help="verification-memo lookups, by result",
-            labelnames=("result",),
-        )
-        self._m_parse_memo = self.metrics.counter(
-            "repro_incremental_parse_memo_total",
-            help="parse-memo lookups, by result",
-            labelnames=("result",),
-        )
-        self._m_points = self.metrics.counter(
-            "repro_incremental_points_total",
-            help="publication points handled per run, reused vs revalidated",
-            labelnames=("outcome",),
-        )
-        self._m_invalidations = self.metrics.counter(
-            "repro_incremental_invalidations_total",
-            help="why a cached point result could not be reused",
-            labelnames=("reason",),
-        )
-        self._m_skipped = self.metrics.counter(
-            "repro_incremental_skipped_verifications_total",
-            help="signature checks avoided by replaying cached point results",
-        )
-        self._m_entries = self.metrics.gauge(
-            "repro_incremental_memo_entries",
-            help="entries currently held, by memo",
-            labelnames=("memo",),
-        )
-
-    # -- memo fronts (instrumented) -----------------------------------------
-
-    def verify_object(self, obj: SignedObject, key: RsaPublicKey) -> bool:
-        before = self.verify_memo.hits
-        verdict = self.verify_memo.verify_object(obj, key)
-        hit = self.verify_memo.hits > before
-        self._m_verify_memo.inc(result="hit" if hit else "miss")
-        return verdict
-
-    def parse(self, data: bytes) -> SignedObject:
-        before = self.parse_memo.hits
-        try:
-            return self.parse_memo.parse(data)
-        finally:
-            hit = self.parse_memo.hits > before
-            self._m_parse_memo.inc(result="hit" if hit else "miss")
-
-    # -- the dirty-point check ----------------------------------------------
-
-    def lookup(self, ca_key_id: str, fingerprint: tuple, now: int) -> PointResult | None:
-        """The cached result for this CA's point, if still valid at *now*.
-
-        Returns None — after counting why — when the point is dirty.
-        """
-        entry = self.points.get(ca_key_id)
-        if entry is None:
-            self._m_invalidations.inc(reason="new")
-            return None
-        if entry.fingerprint != fingerprint:
-            # Order mirrors the fingerprint layout in PathValidator:
-            # (issuer hash, policy, copies).
-            if entry.fingerprint[0] != fingerprint[0]:
-                reason = "issuer"
-            elif entry.fingerprint[1] != fingerprint[1]:
-                reason = "policy"
-            else:
-                reason = "content"
-            self._m_invalidations.inc(reason=reason)
-            return None
-        if time_signature(entry.boundaries, now) != entry.time_sig:
-            self._m_invalidations.inc(reason="time")
-            return None
-        return entry
-
-    def store(self, ca_key_id: str, entry: PointResult, now: int | None = None) -> None:
-        """Cache *entry* for *ca_key_id* (*now* is accepted for provider-
-        interface compatibility; the entry's own time signature already
-        encodes everything this state needs about the instant)."""
-        self.points[ca_key_id] = entry
-        self._update_gauges()
-
-    def count_reused(self, entry: PointResult) -> None:
-        self._m_points.inc(outcome="reused")
-        if entry.verify_count:
-            self._m_skipped.inc(entry.verify_count)
-
-    def count_validated(self) -> None:
-        self._m_points.inc(outcome="validated")
-
-    def _update_gauges(self) -> None:
-        self._m_entries.set(len(self.verify_memo), memo="verify")
-        self._m_entries.set(len(self.parse_memo), memo="parse")
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def clear(self) -> None:
-        """Forget everything; the next run is fully cold."""
-        self.verify_memo = VerificationMemo(max_entries=self.verify_memo.max_entries)
-        self.parse_memo = ParseMemo(max_entries=self.parse_memo.max_entries)
-        self.points.clear()
-        self._update_gauges()

@@ -20,24 +20,19 @@ paper's entire Section 4 is about what those conditions do to routing.
 Validation is organized around *publication points*: each accepted CA
 certificate leads to one point, whose local outcome (issues, accepted
 children, ROAs, VRPs, contact) is computed as a unit and only then
-recursed into.  That unit is what two caches replay:
-
-- a *refresh-scoped point table* (the ``points=`` argument of
-  :meth:`PathValidator.run`), which a relying party opens for one refresh
-  so that its discovery rounds validate each point from bytes once and
-  replay it in every later round.  An entry is replayed only when the
-  CA's subject key id, the point fingerprint and ``now`` are all *equal*
-  to when it was stored, so replay is exact by construction;
-- an :class:`~repro.rp.incremental.IncrementalState`, which carries point
-  results *across* refreshes under the time-boundary rules documented in
-  :mod:`repro.rp.incremental`.
-
-With neither attached the validator is the plain cold algorithm.
+recursed into.  A validator keeps the unit of every point its last run
+visited and replays it, instead of validating the point from bytes again,
+when the point's fingerprint and time-edge signature both still match
+(the rules are in :mod:`repro.rp.incremental`).  The same key makes a
+relying party's discovery rounds validate each point once per refresh,
+and makes a refresh after churn cost O(changed points).  Replay is exact:
+a warm run equals a fresh validator's cold run on the same cache.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..crypto import RsaPublicKey, sha256_hex
@@ -53,7 +48,7 @@ from ..rpki.parse import parse_object
 from ..rpki.ghostbusters import GhostbustersRecord
 from ..rpki.objects import SignedObject
 from ..rpki.roa import Roa
-from .incremental import IncrementalState, PointResult, time_signature
+from .incremental import PointResult, VerificationMemo, time_signature
 from .vrp import VRP, VrpSet
 
 __all__ = [
@@ -131,24 +126,20 @@ class PathValidator:
         paper), individual objects are still used and issues are recorded
         as warnings — the lenient end of the "what to do about incomplete
         information?" tradeoff.
-    incremental:
-        An :class:`~repro.rp.incremental.IncrementalState` to carry memos
-        and per-point results across runs.  ``None`` (default) validates
-        cold every time.
     collect_objects:
         If False (the *lean* streaming mode), validated ROA objects and
         their locations are counted but not retained on the
         :class:`ValidationRun` — only VRPs, CA certificates, issues and
         contacts survive the pass.  At Internet scale this is the
         difference between O(point) and O(deployment) peak memory for a
-        serial refresh; layers that need the objects themselves
-        (Suspenders corroboration, the monitor) keep the default True.
+        refresh; layers that need the objects themselves (Suspenders
+        corroboration, the monitor) keep the default True.
 
-    The incremental state supplies memoized ``verify_object`` / ``parse``
-    plus ``lookup`` / ``store`` / ``count_reused`` / ``count_validated``
-    for cross-run point reuse.  Replayed and freshly computed points take
-    the identical code path, so its (and any point table's) output is
-    byte-for-byte equal to the cold run's.
+    Every run stores the result of each point it visited and replays it
+    on the next run while the point's key still matches; signature
+    verdicts are memoized by content.  Replayed and freshly computed
+    points take the identical code path, so a warm run's output is
+    byte-for-byte equal to a fresh validator's.
     """
 
     def __init__(
@@ -157,7 +148,6 @@ class PathValidator:
         *,
         strict_manifests: bool = False,
         metrics: MetricsRegistry | None = None,
-        incremental: IncrementalState | None = None,
         collect_objects: bool = True,
     ):
         if not trust_anchors:
@@ -165,12 +155,17 @@ class PathValidator:
         self.trust_anchors = list(trust_anchors)
         self.strict_manifests = strict_manifests
         self.collect_objects = collect_objects
-        self.incremental = incremental
-        self._verify_calls = 0
-        # Point visits across every run: validated from bytes vs replayed
-        # (from a point table or the incremental state).
+        self.verify_memo = VerificationMemo()
+        # CA subject key id -> result, for every point the last run
+        # visited (quarantined points excepted).
+        self._points: dict[str, PointResult] = {}
+        # Time edges of the objects parsed for the point being validated.
+        self._edges: list[int] = []
+        # Point visits across every run: validated from bytes vs replayed.
         self.points_validated = 0
         self.points_replayed = 0
+        # Why points of the current run could not be replayed, by reason.
+        self._dirty: Counter[str] = Counter()
         self.metrics = metrics if metrics is not None else default_registry()
         self._m_runs = self.metrics.counter(
             "repro_validation_runs_total", help="full path-validation passes"
@@ -191,6 +186,11 @@ class PathValidator:
                  "from bytes vs replayed",
             labelnames=("outcome",),
         )
+        self._m_invalidations = self.metrics.counter(
+            "repro_incremental_invalidations_total",
+            help="why a stored point result could not be replayed",
+            labelnames=("reason",),
+        )
 
     def run(
         self,
@@ -198,32 +198,21 @@ class PathValidator:
         now: int,
         *,
         digests: dict[str, str] | None = None,
-        points: dict[str, tuple[PointResult, int]] | None = None,
     ) -> ValidationRun:
         """Validate everything reachable from the trust anchors.
 
         *cache_files* maps publication point URI → file name → bytes
         (the shape of :meth:`repro.repository.LocalCache.all_files`).
         *digests* optionally maps point URI → content digest (the shape
-        of :meth:`repro.repository.LocalCache.digests`); used only for
-        point reuse, and computed from the bytes when absent.
-
-        *points* is a caller-owned point table, CA subject key id →
-        ``(PointResult, now)``, that lives for one refresh: every point
-        this run validates is stored in it, and a stored entry is
-        replayed instead of revalidated when its fingerprint and instant
-        are both equal to this run's.  ``None`` (default) keeps no table.
+        of :meth:`repro.repository.LocalCache.digests`); it keys point
+        replay, and a visited point's digest is computed from its bytes
+        when absent.
         """
-        if digests is None and (
-            self.incremental is not None or points is not None
-        ):
-            digests = {
-                uri: point_digest(files) for uri, files in cache_files.items()
-            }
         validated_before = self.points_validated
         replayed_before = self.points_replayed
         result = ValidationRun()
         seen_cas: set[str] = set()
+        visited: dict[str, PointResult] = {}
         for anchor in self.trust_anchors:
             if not anchor.is_self_signed or not self._verify(
                 anchor, anchor.subject_key
@@ -241,7 +230,8 @@ class PathValidator:
                 continue
             result.validated_cas.append(anchor)
             self._descend(anchor, cache_files, digests, now, result, seen_cas,
-                          points, depth=0)
+                          visited, depth=0)
+        self._points = visited
         self._m_runs.inc()
         if self.points_validated > validated_before:
             self._m_points.inc(self.points_validated - validated_before,
@@ -249,6 +239,9 @@ class PathValidator:
         if self.points_replayed > replayed_before:
             self._m_points.inc(self.points_replayed - replayed_before,
                                outcome="replayed")
+        for reason, count in self._dirty.items():
+            self._m_invalidations.inc(count, reason=reason)
+        self._dirty.clear()
         if result.validated_cas:
             self._m_objects.inc(len(result.validated_cas), type="ca")
         if result.roa_count:
@@ -264,17 +257,36 @@ class PathValidator:
     # -- memo-aware primitives ----------------------------------------------
 
     def _verify(self, obj: SignedObject, key: RsaPublicKey) -> bool:
-        """Signature check, via the incremental state's memo when attached."""
-        self._verify_calls += 1
-        if self.incremental is not None:
-            return self.incremental.verify_object(obj, key)
-        return obj.verify_signature(key)
+        """Signature check, via the verification memo."""
+        return self.verify_memo.verify_object(obj, key)
 
     def _parse(self, data: bytes) -> SignedObject:
-        """Parse, via the incremental state's memo when attached."""
-        if self.incremental is not None:
-            return self.incremental.parse(data)
-        return parse_object(data)
+        """Parse, recording the object's time edges for the current point.
+
+        Only integer fields become edges.  Any other value makes every
+        comparison against ``now`` raise, whatever ``now`` is, so it can
+        never make a verdict depend on the clock.
+        """
+        obj = parse_object(data)
+        for signed in (obj, getattr(obj, "ee_cert", None)):
+            if signed is None:
+                continue
+            not_before = signed.payload.get("not_before")
+            not_after = signed.payload.get("not_after")
+            if isinstance(not_before, int):
+                self._edges.append(not_before)
+            if isinstance(not_after, int):
+                self._edges.append(not_after + 1)
+        return obj
+
+    def _stamp(self, now: int) -> int:
+        """*now*, for an issue message that quotes it.
+
+        Such a message is only exact at this very instant, so the point
+        gets the edges ``now`` and ``now + 1`` and replays only at *now*.
+        """
+        self._edges += (now, now + 1)
+        return now
 
     # -- internals ----------------------------------------------------------
 
@@ -286,48 +298,27 @@ class PathValidator:
         now: int,
         result: ValidationRun,
         seen_cas: set[str],
-        points: dict[str, tuple[PointResult, int]] | None,
+        visited: dict[str, PointResult],
         depth: int,
     ) -> None:
-        """Validate the publication point of one accepted CA certificate.
-
-        Lookup order: the point table (same fingerprint, same instant),
-        then the incremental state, then a cold validation from bytes.
-        """
+        """Validate (or replay) the publication point of one accepted CA
+        certificate, then recurse into its accepted children."""
         if depth > _MAX_DEPTH:
             result.issues.append(ValidationIssue(
                 Severity.ERROR, ca_cert.sia, "", "depth-exceeded",
                 "certificate chain deeper than the validator allows",
             ))
             return
-        if ca_cert.subject_key_id in seen_cas:
-            return  # loop guard (malicious self-recertification)
-        seen_cas.add(ca_cert.subject_key_id)
-
         key_id = ca_cert.subject_key_id
-        state = self.incremental
-        entry: PointResult | None = None
-        fingerprint: tuple = ()
-        if points is not None or state is not None:
-            fingerprint = self._point_fingerprint(ca_cert, cache_files, digests)
-        if points is not None:
-            stored = points.get(key_id)
-            if (
-                stored is not None
-                and stored[1] == now
-                and stored[0].fingerprint == fingerprint
-            ):
-                entry = stored[0]
-        if entry is None and state is not None:
-            entry = state.lookup(key_id, fingerprint, now)
-            if entry is not None and points is not None:
-                points[key_id] = (entry, now)
+        if key_id in seen_cas:
+            return  # loop guard (malicious self-recertification)
+        seen_cas.add(key_id)
+
+        fingerprint = self._point_fingerprint(ca_cert, cache_files, digests)
+        entry = self._replayable(key_id, fingerprint, now)
         if entry is not None:
             self.points_replayed += 1
-            if state is not None:
-                # A table hit is an incremental hit too (same fingerprint,
-                # same instant); the state counts every replay it backs.
-                state.count_reused(entry)
+            visited[key_id] = entry
         else:
             self.points_validated += 1
             try:
@@ -336,13 +327,9 @@ class PathValidator:
                 )
             except Exception as exc:  # containment: one bad point ≠ dead run
                 # Never stored: the next run retries the point from bytes.
-                entry = self._quarantined_point(ca_cert, fingerprint, now, exc)
+                entry = self._quarantined_point(ca_cert, exc)
             else:
-                if state is not None:
-                    state.count_validated()
-                    state.store(key_id, entry, now)
-                if points is not None:
-                    points[key_id] = (entry, now)
+                visited[key_id] = entry
 
         # Apply the point's local outcome, then recurse into the subtree.
         # Replayed and freshly computed results take the identical path, so
@@ -359,7 +346,26 @@ class PathValidator:
         for child in entry.children:
             result.validated_cas.append(child)
             self._descend(child, cache_files, digests, now, result, seen_cas,
-                          points, depth + 1)
+                          visited, depth + 1)
+
+    def _replayable(
+        self, key_id: str, fingerprint: tuple, now: int
+    ) -> PointResult | None:
+        """The last run's result for this CA's point, if still exact at
+        *now*; None — after noting why — when the point is dirty."""
+        entry = self._points.get(key_id)
+        if entry is None:
+            reason = "new"
+        elif entry.fingerprint[0] != fingerprint[0]:
+            reason = "issuer"
+        elif entry.fingerprint != fingerprint:
+            reason = "content"
+        elif time_signature(entry.edges, now) != entry.time_sig:
+            reason = "time"
+        else:
+            return entry
+        self._dirty[reason] += 1
+        return None
 
     def _point_fingerprint(
         self,
@@ -371,16 +377,17 @@ class PathValidator:
 
         Covers the issuing certificate (byte hash — a reissued or shrunk
         parent always dirties the point, and the issuer CRL lives *in*
-        the point so content covers it), the strictness policy, and the
-        content digest of every cached copy, primary and mirrors alike.
+        the point so content covers it) and the content digest of every
+        cached copy, primary and mirrors alike.
         """
-        digests = digests or {}
-        copies = tuple(
-            (uri, digests.get(uri, ""))
-            for uri in (_normalize(u) for u in ca_cert.all_publication_uris)
-            if uri in cache_files
-        )
-        return (ca_cert.hash_hex, self.strict_manifests, copies)
+        copies = []
+        for uri in (_normalize(u) for u in ca_cert.all_publication_uris):
+            files = cache_files.get(uri)
+            if files is None:
+                continue
+            digest = digests.get(uri) if digests is not None else None
+            copies.append((uri, digest or point_digest(files)))
+        return (ca_cert.hash_hex, tuple(copies))
 
     def _validate_point(
         self,
@@ -391,7 +398,7 @@ class PathValidator:
     ) -> PointResult:
         """Cold-validate one publication point into a replayable result."""
         issues: list[ValidationIssue] = []
-        verify_before = self._verify_calls
+        self._edges = []
 
         point_uri, files, manifest = self._select_point_copy(
             ca_cert, cache_files, now
@@ -402,8 +409,7 @@ class PathValidator:
                 f"publication point of {ca_cert.subject!r} absent from cache",
             ))
             return self._finish_point(
-                ca_cert, cache_files, None, now, fingerprint, point_uri,
-                issues, [], [], [], None, verify_before,
+                now, fingerprint, point_uri, issues, [], [], [], None,
             )
         if point_uri != _normalize(ca_cert.sia):
             issues.append(ValidationIssue(
@@ -481,15 +487,11 @@ class PathValidator:
                     ))
                     continue
         return self._finish_point(
-            ca_cert, cache_files, files, now, fingerprint, point_uri,
-            issues, children, roas, vrps, contact, verify_before,
+            now, fingerprint, point_uri, issues, children, roas, vrps, contact,
         )
 
     def _finish_point(
         self,
-        ca_cert: ResourceCertificate,
-        cache_files: dict[str, dict[str, bytes]],
-        selected_files: dict[str, bytes] | None,
         now: int,
         fingerprint: tuple,
         point_uri: str,
@@ -498,19 +500,13 @@ class PathValidator:
         roas: list[Roa],
         vrps: list[VRP],
         contact: GhostbustersRecord | None,
-        verify_before: int,
     ) -> PointResult:
-        """Package a point's outcome, with its time-reuse signature."""
-        if self.incremental is not None:
-            boundaries = self._collect_boundaries(
-                ca_cert, cache_files, selected_files
-            )
-        else:
-            boundaries = ()  # never consulted without an IncrementalState
+        """Package a point's outcome with the time edges it parsed."""
+        edges = tuple(sorted(set(self._edges)))
         return PointResult(
             fingerprint=fingerprint,
-            boundaries=boundaries,
-            time_sig=time_signature(boundaries, now),
+            edges=edges,
+            time_sig=time_signature(edges, now),
             selected_uri=point_uri,
             issues=tuple(issues),
             children=tuple(children),
@@ -520,88 +516,28 @@ class PathValidator:
             roa_count=len(roas),
             vrps=tuple(vrps),
             contact=contact,
-            verify_count=self._verify_calls - verify_before,
         )
 
+    @staticmethod
     def _quarantined_point(
-        self,
-        ca_cert: ResourceCertificate,
-        fingerprint: tuple,
-        now: int,
-        exc: Exception,
+        ca_cert: ResourceCertificate, exc: Exception
     ) -> PointResult:
-        """A replayable empty result for a point whose validation raised.
+        """An empty result for a point whose validation raised.
 
-        Deliberately *not* stored in a point table or the incremental
-        state: the next run retries the point from scratch instead of
-        replaying the failure.
+        Deliberately never stored: the next run retries the point from
+        scratch instead of replaying the failure.
         """
         issue = ValidationIssue(
             Severity.ERROR, _normalize(ca_cert.sia), "", "point-quarantined",
             f"validation raised {type(exc).__name__}: {exc}",
         )
         return PointResult(
-            fingerprint=fingerprint,
-            boundaries=(),
-            time_sig=time_signature((), now),
+            fingerprint=(),
+            edges=(),
+            time_sig=0,
             selected_uri=_normalize(ca_cert.sia),
             issues=(issue,),
-            children=(),
-            roas=(),
-            vrps=(),
-            contact=None,
-            verify_count=0,
         )
-
-    def _collect_boundaries(
-        self,
-        ca_cert: ResourceCertificate,
-        cache_files: dict[str, dict[str, bytes]],
-        selected_files: dict[str, bytes] | None,
-    ) -> tuple[int, ...]:
-        """Every time boundary this point's verdicts could depend on.
-
-        Each time predicate the point evaluates — ``not_before <= now``,
-        ``now <= not_after``, ``next_update < now`` (``next_update``
-        aliases the payload ``not_after`` for CRLs and manifests) — flips
-        only at a validity edge of some parseable object: every object of
-        the selected copy, the EE certificates embedded in ROAs and
-        Ghostbusters records, and the manifests of *other* cached copies
-        (their staleness steers :meth:`_select_point_copy`).  A superset
-        is collected — extra boundaries cause at worst a spurious
-        revalidation, never a stale reuse.  Unparseable bytes contribute
-        nothing: their outcome cannot depend on time, and any byte change
-        is caught by the content fingerprint instead.
-        """
-        bounds: set[int] = set()
-
-        def add(obj: SignedObject) -> None:
-            bounds.add(obj.not_before)
-            bounds.add(obj.not_after)
-
-        for uri in (_normalize(u) for u in ca_cert.all_publication_uris):
-            files = cache_files.get(uri)
-            if files is None or files is selected_files:
-                continue
-            data = files.get(MANIFEST_FILE)
-            if data is None:
-                continue
-            try:
-                mirror_manifest = self._parse(data)
-            except Exception:
-                continue  # unparseable bytes contribute no boundaries
-            if isinstance(mirror_manifest, Manifest):
-                add(mirror_manifest)
-        for data in (selected_files or {}).values():
-            try:
-                obj = self._parse(data)
-            except Exception:
-                continue  # unparseable bytes contribute no boundaries
-            add(obj)
-            ee = getattr(obj, "ee_cert", None)
-            if ee is not None:
-                add(ee)
-        return tuple(sorted(bounds))
 
     def _select_point_copy(
         self,
@@ -687,7 +623,7 @@ class PathValidator:
         if crl.next_update < now:
             issues.append(ValidationIssue(
                 Severity.WARNING, point_uri, CRL_FILE, "crl-stale",
-                f"CRL nextUpdate {crl.next_update} is in the past (now {now})",
+                f"CRL nextUpdate {crl.next_update} is in the past (now {self._stamp(now)})",
             ))
         return crl
 
@@ -730,7 +666,7 @@ class PathValidator:
             if manifest.next_update < now:
                 issues.append(ValidationIssue(
                     Severity.WARNING, point_uri, MANIFEST_FILE, "manifest-stale",
-                    f"manifest nextUpdate {manifest.next_update} < now {now}",
+                    f"manifest nextUpdate {manifest.next_update} < now {self._stamp(now)}",
                 ))
                 strict_fail = strict_fail or "manifest-stale"
             on_disk = set(usable)
@@ -781,7 +717,7 @@ class PathValidator:
         if not cert.is_current(now):
             issues.append(ValidationIssue(
                 Severity.ERROR, point_uri, file_name, "expired",
-                f"certificate for {cert.subject!r} not valid at t={now}",
+                f"certificate for {cert.subject!r} not valid at t={self._stamp(now)}",
             ))
             return None
         if crl is not None and crl.is_revoked(cert.serial):
@@ -818,7 +754,7 @@ class PathValidator:
         if not ee.is_current(now) or not roa.is_current(now):
             issues.append(ValidationIssue(
                 Severity.ERROR, point_uri, file_name, "expired",
-                f"ROA {roa.describe()} not valid at t={now}",
+                f"ROA {roa.describe()} not valid at t={self._stamp(now)}",
             ))
             return None
         if crl is not None and crl.is_revoked(ee.serial):

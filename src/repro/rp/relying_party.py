@@ -8,10 +8,11 @@ VRPs to classify BGP routes.
 Discovery is top-down: the trust anchors' publication points are fetched
 first, validation of what arrived reveals child SIA pointers, those are
 fetched next, and so on until no new points appear.  Each round validates
-the whole cache snapshot, but a refresh-scoped point table (see
-:meth:`~repro.rp.PathValidator.run`) replays every point already
-validated at the same instant with the same content, so within one
-refresh each publication point is validated from bytes once.
+the whole cache snapshot, but the validator replays every point whose
+content and time edges did not move since its last run (see
+:mod:`repro.rp.incremental`): a later round validates a point from
+bytes again only if its cached copy changed in between, and a refresh
+after churn validates only the changed points.
 
 A point that cannot be fetched (unreachable, faulted) leaves whatever the
 cache already had — or nothing, which is exactly the "missing
@@ -30,19 +31,12 @@ from ..repository.uri import RsyncUri
 from ..rpki.cert import ResourceCertificate
 from ..simtime import Clock
 from ..telemetry import MetricsRegistry, default_registry
-from .incremental import IncrementalState
 from .origin import OriginValidationOutcome, validate
 from .pathval import PathValidator, ValidationRun
 from .states import Route, RouteValidity
 from .vrp import VrpSet
 
-__all__ = ["ENGINE_MODES", "RelyingParty", "RefreshReport",
-           "DegradationReport"]
-
-# The engine-selection knob: which validation strategy a relying party
-# runs.  Both produce identical results; they differ only in the work
-# carried from one refresh to the next.
-ENGINE_MODES = ("serial", "incremental")
+__all__ = ["RelyingParty", "RefreshReport", "DegradationReport"]
 
 # Issue codes that mean "this object's bytes were rejected and the object
 # was excluded while its siblings kept validating" — the containment
@@ -152,36 +146,20 @@ class RelyingParty:
         per-authority time budget, so one slow delegation subtree cannot
         monopolize the refresh.  Over-budget points are *deferred*:
         listed on :attr:`RefreshReport.deferred`, recorded as degraded,
-        and served from stale-cache grace like a failed fetch.  Works
-        with every engine mode.  ``None`` (the default) keeps the
+        and served from stale-cache grace like a failed fetch.
+        ``None`` (the default) keeps the
         historical plain-sorted fetch order byte-identically.
     strict_manifests:
         Validator policy on manifest trouble (see :class:`PathValidator`).
-    mode:
-        The engine-selection knob, one of :data:`ENGINE_MODES`:
-
-        - ``"serial"`` — the plain path: every refresh parses and
-          verifies each publication point of the cache once (later
-          discovery rounds of the same refresh replay it from the
-          refresh-scoped point table, as in both modes) and keeps
-          nothing for the next refresh.
-        - ``"incremental"`` — keep an
-          :class:`~repro.rp.incremental.IncrementalState` across
-          refreshes so unchanged publication points are replayed instead
-          of re-validated (see :mod:`repro.rp.incremental` for the exact
-          invalidation rules).
-
-        Validation *results* are identical in both modes; only the work
-        done to produce them changes.
     lean:
         Streaming refresh: validated ROA objects are counted but not
         retained on the :class:`~repro.rp.pathval.ValidationRun` (only
         VRPs, CA certificates, issues and contacts survive), and the
         validator reads straight out of the cache's zero-copy
-        :meth:`~repro.repository.LocalCache.snapshot`.  With
-        ``mode="serial"`` this bounds refresh peak memory by the largest
-        single publication point instead of the whole deployment — the
-        Internet-scale configuration.  Layers that need the parsed
+        :meth:`~repro.repository.LocalCache.snapshot`.  This bounds
+        refresh peak memory by the largest single publication point
+        instead of the whole deployment — the Internet-scale
+        configuration.  Layers that need the parsed
         objects (Suspenders corroboration, the monitor's ROA diffing)
         must keep the default False.
     metrics:
@@ -201,17 +179,11 @@ class RelyingParty:
         fetch_budget: int | None = None,
         schedule: SchedulerConfig | FetchScheduler | None = None,
         strict_manifests: bool = False,
-        mode: str = "serial",
         lean: bool = False,
         metrics: MetricsRegistry | None = None,
     ):
         if fetch_budget is not None and fetch_budget < 1:
             raise ValueError(f"bad fetch budget {fetch_budget}")
-        if mode not in ENGINE_MODES:
-            raise ValueError(
-                f"mode must be one of {ENGINE_MODES}, got {mode!r}"
-            )
-        self.mode = mode
         self.lean = lean
         self.fetcher = fetcher
         self.fetch_budget = fetch_budget
@@ -224,14 +196,9 @@ class RelyingParty:
             self.scheduler = None
         self.cache = LocalCache(keep_stale=keep_stale, stale_grace=stale_grace,
                                 metrics=self.metrics)
-        self.incremental_state = (
-            IncrementalState(metrics=self.metrics)
-            if mode == "incremental" else None
-        )
         self.validator = PathValidator(
             trust_anchors, strict_manifests=strict_manifests,
-            metrics=self.metrics, incremental=self.incremental_state,
-            collect_objects=not lean,
+            metrics=self.metrics, collect_objects=not lean,
         )
         self._clock = clock if clock is not None else fetcher.clock
         self._last_run: ValidationRun | None = None
@@ -270,9 +237,6 @@ class RelyingParty:
     def refresh(self) -> RefreshReport:
         """One full synchronize-and-validate cycle."""
         report = RefreshReport(run=ValidationRun())
-        # CA key id -> (PointResult, now): this refresh's point table.  It
-        # is local, so nothing in it outlives the refresh.
-        points: dict = {}
         fetched: set[str] = set()
         pending = {
             str(RsyncUri.parse(anchor.sia))
@@ -334,7 +298,7 @@ class RelyingParty:
                     fetched.add(uri)
                     if self.scheduler is not None:
                         self.scheduler.record(uri, result.elapsed)
-                run = self._validate(points)
+                run = self._validate()
                 discovered = {
                     str(RsyncUri.parse(uri))
                     for cert in run.validated_cas
@@ -398,18 +362,18 @@ class RelyingParty:
             degrade(uri, "budget-deferred")
         return degradation
 
-    def _validate(self, points: dict) -> ValidationRun:
+    def _validate(self) -> ValidationRun:
         """One validation pass over the current cache snapshot.
 
         The snapshot is the cache's zero-copy view: the validator reads
-        the cached file dicts by reference, so a validation round allocates no per-point copies
-        no matter how large the deployment is.  *points* is the
-        refresh's point table; the cache's maintained digests make its
+        the cached file dicts by reference, so a validation round
+        allocates no per-point copies no matter how large the deployment
+        is.  The cache's maintained digests make the validator's point
         fingerprints O(points) to build.
         """
         now = self._clock.now
         return self.validator.run(
-            self.cache.snapshot(now), now, digests=self.cache.digests(now), points=points
+            self.cache.snapshot(now), now, digests=self.cache.digests(now)
         )
 
     # -- classification surface -------------------------------------------------

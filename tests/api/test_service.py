@@ -37,7 +37,7 @@ def rp(world):
     registry = MetricsRegistry()
     fetcher = Fetcher(world.registry, world.clock, metrics=registry)
     return RelyingParty(world.trust_anchors, fetcher, world.clock,
-                        mode="incremental", metrics=registry)
+                        metrics=registry)
 
 
 def make_service(rp, **config):

@@ -140,6 +140,38 @@ class TestCampaign:
         assert cycles.value() == result.cycles_run
 
 
+class TestColdReferenceOracle:
+    """The equivalence invariant compares warm runs against a cold
+    validator; a wrong reuse rule planted in the validator must trip it."""
+
+    EMPTY = FaultPlan(seed=7, cycles=3)
+
+    def test_time_blind_replay_is_caught(self, monkeypatch):
+        # Day-long gaps push manifests and CRLs past their windows, so a
+        # replay that ignores the clock serves stale verdicts.
+        config = CampaignConfig(seed=7, cycles=3, gap_seconds=86400)
+        assert run_campaign(config, plan=self.EMPTY).ok
+        import repro.rp.pathval as pathval
+
+        monkeypatch.setattr(pathval, "time_signature", lambda edges, now: 0)
+        result = run_campaign(config, plan=self.EMPTY)
+        assert result.violation is not None
+        assert result.violation.invariant == "equivalence"
+        assert "cold validator" in result.violation.detail
+
+    def test_content_blind_replay_is_caught(self, monkeypatch):
+        from repro.rp import PathValidator
+
+        config = CampaignConfig(seed=7, cycles=4)
+        monkeypatch.setattr(
+            PathValidator, "_point_fingerprint",
+            lambda self, ca_cert, cache_files, digests: (ca_cert.hash_hex,),
+        )
+        result = run_campaign(config, plan=FaultPlan(seed=7, cycles=4))
+        assert result.violation is not None
+        assert result.violation.invariant == "equivalence"
+
+
 class TestStagedViolation:
     DEMO = CampaignConfig(seed=11, cycles=4, plant_violation=True)
 
@@ -221,18 +253,17 @@ class TestStallorisHarness:
         report = measure_stalloris(StallorisConfig(cycles=4))
         assert report.amplifier_host
         assert report.amplifier_points == 8
-        for engine in ("serial", "incremental"):
-            budget = report.run(engine, scheduled=False)
-            scheduled = report.run(engine, scheduled=True)
-            # Unscheduled: victim age grows one full cycle per cycle and
-            # crosses the stale grace — the time-to-stale downgrade.
-            ages = budget.victim_age
-            assert all(b - a == 2100 for a, b in zip(ages, ages[1:]))
-            assert budget.time_to_stale is not None
-            # Scheduled: victim age pinned at one burst, never downgrades.
-            assert scheduled.time_to_stale is None
-            assert max(scheduled.victim_age) <= 2 * 1200
-            assert max(scheduled.deferred) > 0
+        budget = report.run(scheduled=False)
+        scheduled = report.run(scheduled=True)
+        # Unscheduled: victim age grows one full cycle per cycle and
+        # crosses the stale grace — the time-to-stale downgrade.
+        ages = budget.victim_age
+        assert all(b - a == 2100 for a, b in zip(ages, ages[1:]))
+        assert budget.time_to_stale is not None
+        # Scheduled: victim age pinned at one burst, never downgrades.
+        assert scheduled.time_to_stale is None
+        assert max(scheduled.victim_age) <= 2 * 1200
+        assert max(scheduled.deferred) > 0
 
     def test_harness_is_deterministic(self):
         from repro.chaos import StallorisConfig, measure_stalloris
@@ -255,7 +286,7 @@ class TestStallorisHarness:
         with pytest.raises(ValueError):
             StallorisConfig(cycles=0)
         with pytest.raises(KeyError):
-            report.run("serial", None)
+            report.run(scheduled=None)
 
 
 class TestFanOutTopology:

@@ -5,9 +5,9 @@ publication points directly under each RIR — no customer subtree, no
 suballocation recursion — which is what lets
 :data:`repro.modelgen.INTERNET_SCALES` reach 10⁴–10⁵ ROAs in O(n).
 These tests pin the family's arithmetic, its determinism (same seed ⇒
-identical world), and the engine-equivalence claim at ``internet-small``:
-an incremental-mode refresh produces byte-identical validated objects,
-VRPs and issues to the serial path.
+identical world), and the replay-equivalence claim at ``internet-small``:
+a warm refresh after churn produces byte-identical validated objects,
+VRPs and issues to a fresh validator's cold run over the same cache.
 """
 
 import pytest
@@ -18,7 +18,9 @@ from repro.modelgen import (
     build_deployment,
 )
 from repro.repository import Fetcher
-from repro.rp import RelyingParty, VrpSet
+from repro.rp import PathValidator, RelyingParty, VrpSet
+from repro.simtime import HOUR
+from repro.telemetry import MetricsRegistry
 
 # Small enough to build in ~a second, flat like the Internet scales.
 TINY_FLAT = DeploymentConfig(
@@ -149,37 +151,39 @@ class TestDeterminism:
 
 
 class TestInternetSmallEquivalence:
-    """The heavyweight pin: serial and incremental agree at 10^4 ROAs."""
+    """The heavyweight pin: warm replay equals cold at 10^4 ROAs."""
 
     @pytest.fixture(scope="class")
     def world(self):
         return build_deployment(INTERNET_SCALES["internet-small"])
 
-    def test_incremental_refresh_byte_identical_to_serial(self, world):
-        rp_serial, serial_report = _refresh(world)
-        rp_incremental, incremental_report = _refresh(
-            world, mode="incremental"
-        )
+    def test_warm_refresh_equals_cold_run(self, world):
+        rp, cold_report = _refresh(world)
+        assert cold_report.run.errors() == []
+        assert len(rp.vrps) == world.roa_count()
+        churned = next(ca for ca in world.authorities() if ca.issued_roas)
+        churned.renew_roa(next(iter(churned.issued_roas)))
+        world.clock.advance(HOUR)
+        warm = rp.refresh().run
+        now = world.clock.now
+        cold = PathValidator(
+            world.trust_anchors, metrics=MetricsRegistry()
+        ).run(rp.cache.all_files(now), now)
 
-        assert serial_report.run.errors() == []
-        assert len(rp_serial.vrps) == world.roa_count()
+        assert rp.validator.points_replayed > 0
         # Byte identity: the same validated objects (by content hash),
         # the same VRP set and content-addressed digest, the same issues.
         for objects in ("validated_cas", "validated_roas"):
             assert (
-                [obj.hash_hex for obj in getattr(serial_report.run, objects)]
-                == [obj.hash_hex
-                    for obj in getattr(incremental_report.run, objects)]
+                [obj.hash_hex for obj in getattr(warm, objects)]
+                == [obj.hash_hex for obj in getattr(cold, objects)]
             )
+        assert warm.vrps.as_frozenset() == cold.vrps.as_frozenset()
         assert (
-            rp_serial.vrps.as_frozenset()
-            == rp_incremental.vrps.as_frozenset()
+            VrpSet(warm.vrps).content_hash()
+            == VrpSet(cold.vrps).content_hash()
         )
-        assert (
-            rp_serial.vrps.content_hash()
-            == rp_incremental.vrps.content_hash()
-        )
-        assert serial_report.run.issues == incremental_report.run.issues
+        assert warm.issues == cold.issues
 
     def test_lean_refresh_counts_without_retaining(self, world):
         rp, report = _refresh(world, lean=True)

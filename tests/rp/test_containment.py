@@ -4,19 +4,14 @@ The robustness contract behind the chaos campaign's no-crash invariant,
 tested at unit scale on the Figure 2 world: CORRUPT / TRUNCATE /
 OVERSIZED payloads flow through ``RelyingParty.refresh``, the poisoned
 object is quarantined into the :class:`~repro.rp.DegradationReport`,
-every sibling keeps validating, and — for the incremental engine — the
-memo never caches a verdict for bytes it refused to size-check.
+every sibling keeps validating, and a stored point result never
+outlives the damaged bytes it was computed from.
 """
 
 import pytest
 
 from repro.modelgen import build_figure2
-from repro.repository import (
-    FaultInjector,
-    FaultKind,
-    Fetcher,
-    nested_bomb,
-)
+from repro.repository import FaultInjector, FaultKind, Fetcher
 from repro.rp import DegradationReport, RelyingParty, VRP
 from repro.simtime import HOUR
 
@@ -98,29 +93,23 @@ class TestIncrementalMemoNotPoisoned:
         faults.schedule(
             FaultKind.CORRUPT, CONTINENTAL, file_name=world.target20_name
         )
-        rp = make_rp(world, faults=faults, mode="incremental")
+        rp = make_rp(world, faults=faults)
         rp.refresh()
         assert len(rp.vrps) == 7
-        # The memo is content-addressed, so the poisoned digest can never
-        # shadow the healthy bytes: the healed refresh revalidates.
+        # Point replay is keyed by content, so the poisoned digest can
+        # never shadow the healthy bytes: the healed refresh revalidates.
         world.clock.advance(HOUR)
         report = rp.refresh()
         assert len(rp.vrps) == 8
         assert report.degradation.clean
 
-    def test_oversized_bytes_never_enter_the_memo(self, world):
+    def test_oversized_object_heals(self, world):
         faults = FaultInjector()
         faults.schedule(
             FaultKind.OVERSIZED, CONTINENTAL, file_name=world.target20_name
         )
-        rp = make_rp(world, faults=faults, mode="incremental")
+        rp = make_rp(world, faults=faults)
         report = rp.refresh()
-        memo = rp.incremental_state.parse_memo
-        # The size guard fired: the bomb was parsed (and rejected)
-        # without being digested or cached.
-        assert memo.oversized >= 1
-        bomb = nested_bomb()
-        assert len(bomb) > memo.max_object_bytes
         assert world.target20_name in {
             f for _, f, _ in report.degradation.quarantined_objects
         }

@@ -1,30 +1,29 @@
 """Incremental validation: memo correctness, attack safety, refresh bookkeeping.
 
-The contract under test is absolute: an incremental relying party must
-produce a :class:`ValidationRun` equal to a cold validator's on the same
-cache — *especially* right after the events an attacker (or misbehaving
-authority) controls: whacking, revocation, expiry.  A memo that survives
-any of those is a vulnerability, not an optimization.
+The contract under test is absolute: a relying party replaying stored
+point results must produce a :class:`ValidationRun` equal to a fresh
+validator's on the same cache — *especially* right after the events an
+attacker (or misbehaving authority) controls: whacking, revocation,
+expiry.  A stored result that survives any of those is a vulnerability,
+not an optimization.
 """
 
-import pytest
+from bisect import bisect_right
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.rp.incremental as incremental
 from repro import reset_default_metrics
 from repro.modelgen import DeploymentConfig, build_deployment, build_figure2
 from repro.repository import FaultInjector, FaultKind, Fetcher
 from repro.repository.scheduler import SchedulerConfig
-from repro.rp import (
-    VRP,
-    IncrementalState,
-    ParseMemo,
-    PathValidator,
-    RelyingParty,
-    VerificationMemo,
-    VrpSet,
-)
-from repro.rp.incremental import time_signature
-from repro.rpki.errors import ObjectFormatError
+from repro.resources import ResourceSet
+from repro.rp import VRP, PathValidator, RelyingParty, VerificationMemo, VrpSet
+from repro.rpki import RoaPrefix, build_certificate, build_roa, parse_object
 from repro.simtime import DAY, HOUR
+from repro.telemetry import MetricsRegistry
 
 
 @pytest.fixture(autouse=True)
@@ -82,42 +81,19 @@ class TestMemoUnits:
         ) is False
         assert len(memo) == 2
 
-    def test_verification_memo_bounded(self, world):
+    def test_verification_memo_bounded(self, world, monkeypatch):
+        monkeypatch.setattr(incremental, "MEMO_ENTRIES", 1)
         anchor = world.trust_anchors[0]
         sprint = world.sprint.certificate
-        memo = VerificationMemo(max_entries=1)
+        memo = VerificationMemo()
         memo.verify_object(anchor, anchor.subject_key)
         memo.verify_object(sprint, anchor.subject_key)  # full: clears first
         assert len(memo) == 1
 
-    def test_parse_memo_returns_same_object(self, world):
-        data = world.sprint.certificate.to_bytes()
-        memo = ParseMemo()
-        first = memo.parse(data)
-        assert memo.parse(data) is first
-        assert (memo.hits, memo.misses) == (1, 1)
-
-    def test_parse_memo_caches_failures(self):
-        memo = ParseMemo()
-        with pytest.raises(ObjectFormatError):
-            memo.parse(b"not an object")
-        with pytest.raises(ObjectFormatError):
-            memo.parse(b"not an object")
-        assert (memo.hits, memo.misses) == (1, 1)
-
-    def test_time_signature_flips_only_at_boundaries(self):
-        boundaries = (10, 20, 20, 30)
-        assert time_signature(boundaries, 15) == time_signature(boundaries, 19)
-        assert time_signature(boundaries, 19) != time_signature(boundaries, 20)
-        # Sitting exactly on a boundary differs from either side — the
-        # inclusive/exclusive distinction the two bisects encode.
-        assert time_signature(boundaries, 20) != time_signature(boundaries, 21)
-        assert time_signature(boundaries, 5) != time_signature(boundaries, 15)
-
 
 class TestZeroChurnRefresh:
     def test_warm_refresh_is_equal_and_verification_free(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         first = rp.refresh()
         verify = rp.metrics.get("repro_crypto_verify_total")
         before = (verify.value(outcome="accepted")
@@ -133,21 +109,13 @@ class TestZeroChurnRefresh:
         assert second.run == cold_run(rp, world)
 
     def test_points_reported_reused(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         rp.refresh()
-        points = rp.metrics.get("repro_incremental_points_total")
+        points = rp.metrics.get("repro_validation_points_total")
         validated_cold = points.value(outcome="validated")
         rp.refresh()
         assert points.value(outcome="validated") == validated_cold
-        assert points.value(outcome="reused") > 0
-
-    def test_incremental_off_keeps_validator_stateless(self, world):
-        rp = make_rp(world)
-        assert rp.incremental_state is None
-        assert rp.validator.incremental is None
-        first = rp.refresh()
-        second = rp.refresh()
-        assert first.run == second.run
+        assert points.value(outcome="replayed") > 0
 
 
 class TestAttackSafety:
@@ -159,7 +127,7 @@ class TestAttackSafety:
         return report
 
     def test_roa_whack_propagates(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         rp.refresh()
         whacked = world.continental.roa_named(world.target20_name)
         world.continental.revoke_roa(world.target20_name)
@@ -170,7 +138,7 @@ class TestAttackSafety:
                        asn=whacked.asn) not in report.vrps
 
     def test_roa_shrink_propagates(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         baseline = rp.refresh()
         old = world.continental.roa_named(world.target22_name)
         world.continental.revoke_roa(world.target22_name)
@@ -182,7 +150,7 @@ class TestAttackSafety:
         assert VRP.parse("63.174.16.0/22", old.asn) not in report.vrps
 
     def test_crl_revocation_kills_subtree(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         rp.refresh()
         world.sprint.revoke_cert(world.continental.certificate)
         report = self.assert_matches_cold(rp, world)
@@ -190,7 +158,7 @@ class TestAttackSafety:
         assert len(report.vrps) == 3
 
     def test_republished_revoked_cert_rejected_via_crl(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         rp.refresh()
         old_cert = world.continental.certificate
         world.sprint.revoke_cert(old_cert)
@@ -204,7 +172,7 @@ class TestAttackSafety:
         assert report.run.has_issue("revoked")
 
     def test_clock_advance_past_expiry(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         rp.refresh()
         world.clock.advance(91 * DAY)  # past every 90-day ROA window
         report = self.assert_matches_cold(rp, world)
@@ -212,23 +180,38 @@ class TestAttackSafety:
         assert report.run.has_issue("expired")
 
     def test_clock_advance_past_manifest_window(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         rp.refresh()
         world.clock.advance(2 * DAY)  # beyond the 1-day manifest window
         report = self.assert_matches_cold(rp, world)
         assert report.run.has_issue("manifest-stale")
 
+    def test_stale_issue_quotes_the_current_instant(self, world):
+        rp = make_rp(world)
+        rp.refresh()
+        world.clock.advance(2 * DAY)
+        rp.refresh()
+        # No validity edge lies between the two stale refreshes, but the
+        # manifest-stale message quotes `now`: replaying it would be stale.
+        world.clock.advance(HOUR)
+        report = self.assert_matches_cold(rp, world)
+        assert any(
+            issue.code == "manifest-stale"
+            and issue.message.endswith(f"now {world.clock.now}")
+            for issue in report.run.issues
+        )
+
     def test_small_clock_advance_still_reuses(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         rp.refresh()
         world.clock.advance(1 * HOUR)  # no validity edge crossed
         report = self.assert_matches_cold(rp, world)
-        points = rp.metrics.get("repro_incremental_points_total")
-        assert points.value(outcome="reused") > 0
+        points = rp.metrics.get("repro_validation_points_total")
+        assert points.value(outcome="replayed") > 0
         assert len(report.vrps) == 8
 
     def test_renewal_after_expiry(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         rp.refresh()
         world.clock.advance(91 * DAY)
         rp.refresh()
@@ -238,32 +221,111 @@ class TestAttackSafety:
         report = self.assert_matches_cold(rp, world)
         assert len(report.vrps) == 8
 
-    def test_strictness_policy_change_invalidates(self, world):
+    def test_strict_manifests_warm_equals_cold(self, world):
         faults = FaultInjector(seed=1)
         faults.schedule(
             FaultKind.CORRUPT,
             "rsync://continental.example/repo/",
             file_name=world.target20_name,
         )
-        rp = make_rp(world, faults=faults, mode="incremental")
+        rp = make_rp(world, faults=faults, strict_manifests=True)
         rp.refresh()
-        files = rp.cache.all_files(world.clock.now)
+        # The corrupt point is discarded whole on the cold refresh...
+        assert rp.last_run.has_issue("point-discarded")
+        # ...and the healed refresh replays nothing it must not.
+        world.clock.advance(HOUR)
+        report = self.assert_matches_cold(rp, world)
+        assert not report.run.has_issue("point-discarded")
+
+
+class TestExactTimeEdges:
+    """Replay across clock moves: exact at every edge, free between them."""
+
+    @pytest.fixture(scope="class")
+    def cached(self):
+        """(trust anchors, cache files, instant, edges) of a refreshed
+        Figure 2 world.  The edges are read from the cached objects
+        themselves, not from the validator under test."""
+        world = build_figure2()
+        # One ROA whose EE certificate expires long before the ROA: its
+        # only expiry edge comes from the embedded certificate.
+        ca = world.continental
         now = world.clock.now
-        # Re-point the same memo state at a validator with the opposite
-        # manifest policy: every cached point must be recomputed, and the
-        # corrupt point discarded whole.
-        strict = PathValidator(
-            world.trust_anchors, strict_manifests=True,
-            incremental=rp.incremental_state,
+        prefix = RoaPrefix.parse("63.174.31.0/24")
+        ee = build_certificate(
+            issuer_key=ca.key, issuer_key_id=ca.key_id, subject="short-ee",
+            subject_key=ca.key.public,
+            ip_resources=ResourceSet.from_prefixes([prefix.prefix]),
+            serial=9001, not_before=now, not_after=now + DAY // 2,
+            sia="", crldp=ca.crl_uri, is_ca=False,
         )
-        warm = strict.run(files, now)
-        cold = PathValidator(world.trust_anchors, strict_manifests=True)
-        assert warm == cold.run(files, now)
-        assert warm.has_issue("point-discarded")
-        invalidations = rp.metrics.get(
-            "repro_incremental_invalidations_total"
+        roa = build_roa(ee_key=ca.key, ee_cert=ee, asn=64500,
+                        prefixes=[prefix], serial=9002, not_before=now,
+                        not_after=now + 90 * DAY)
+        ca.publication_point.put("short-ee.roa", roa.to_bytes())
+        rp = make_rp(world)
+        rp.refresh()
+        files = rp.cache.all_files(now)
+        edges = {
+            edge
+            for anchor in world.trust_anchors
+            for edge in (anchor.not_before, anchor.not_after + 1)
+        }
+        for point in files.values():
+            for data in point.values():
+                obj = parse_object(data)
+                for signed in (obj, getattr(obj, "ee_cert", None)):
+                    if signed is not None:
+                        edges |= {signed.not_before, signed.not_after + 1}
+        assert now + DAY // 2 + 1 in edges
+        return world.trust_anchors, files, now, sorted(edges)
+
+    @staticmethod
+    def validator(anchors):
+        return PathValidator(anchors, metrics=MetricsRegistry())
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_warm_equals_cold_around_every_edge(self, cached, data):
+        anchors, files, now, edges = cached
+        assert edges
+        warm = self.validator(anchors)
+        warm.run(files, now)
+        offsets = data.draw(st.lists(
+            st.tuples(st.sampled_from(edges), st.sampled_from((-1, 0, 1))),
+            min_size=1, max_size=4,
+        ))
+        for edge, delta in offsets:
+            instant = edge + delta
+            cold = self.validator(anchors).run(files, instant)
+            assert warm.run(files, instant) == cold, instant
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_move_within_edges_replays_every_point(self, cached, data):
+        anchors, files, now, edges = cached
+        first = data.draw(st.one_of(
+            st.sampled_from(edges),
+            st.integers(edges[0] - DAY, edges[-1] + DAY),
+        ))
+        warm = self.validator(anchors)
+        warm.run(files, first)
+        # Every stored point's edges, plus the trust anchors' own (checked
+        # by each run before any point is visited).
+        stored = sorted(
+            {edge for entry in warm._points.values() for edge in entry.edges}
+            | {edge for anchor in anchors
+               for edge in (anchor.not_before, anchor.not_after + 1)}
         )
-        assert invalidations.value(reason="policy") > 0
+        # The widest interval around `first` that crosses no edge.
+        index = bisect_right(stored, first)
+        low = stored[index - 1] if index else first - DAY
+        high = stored[index] - 1 if index < len(stored) else first + DAY
+        second = data.draw(st.integers(low, high))
+        validated = warm.points_validated
+        run = warm.run(files, second)
+        assert warm.points_validated == validated
+        assert run == self.validator(anchors).run(files, second)
 
 
 class TestRefreshSkippedBookkeeping:
@@ -359,8 +421,3 @@ class TestVrpSetDeltas:
         view = s._sorted_view()
         s.add(VRP.parse("10.1.0.0/16", 2))  # no-op: not appended
         assert s._sorted_view() is view
-
-    def test_incremental_state_exported_from_facade(self):
-        import repro
-
-        assert repro.IncrementalState is IncrementalState

@@ -1,10 +1,11 @@
-"""The refresh-scoped point table: each publication point validated once.
+"""The point store: each publication point validated once per change.
 
 A refresh discovers a hierarchy round by round and validates the whole
-cache after every round.  The point table makes every round after a
-point's first replay it, so a refresh parses exactly what one standalone
-validation of its final cache parses.  Parses are counted at
-``repro.rp.pathval.parse_object``, the name the validator looks up.
+cache after every round.  The validator stores every point its last run
+visited and replays it while its content and time edges hold, so a
+refresh parses exactly what one standalone validation of its final cache
+parses.  Parses are counted at ``repro.rp.pathval.parse_object``, the
+name the validator looks up.
 """
 
 import pytest
@@ -52,7 +53,7 @@ def make_rp(world, **kwargs):
 
 
 def standalone(rp, world, parses):
-    """(parse count, run) of one table-less validation of rp's cache."""
+    """(parse count, run) of one fresh validator's run over rp's cache."""
     before = parses[0]
     validator = PathValidator(rp.validator.trust_anchors,
                               metrics=MetricsRegistry())
@@ -65,13 +66,12 @@ def point_parses(rp, world, parses, ca):
     """Parses one validation of *ca*'s publication point costs."""
     validator = PathValidator(rp.validator.trust_anchors,
                               metrics=MetricsRegistry())
-    table = {}
     now = world.clock.now
     files = rp.cache.all_files(now)
-    validator.run(files, now, points=table)
-    del table[ca.certificate.subject_key_id]
+    validator.run(files, now)
+    del validator._points[ca.certificate.subject_key_id]
     before = parses[0]
-    validator.run(files, now, points=table)
+    validator.run(files, now)
     return parses[0] - before
 
 
@@ -121,45 +121,35 @@ class TestReuseRule:
     def run_twice(self, world, rp, now_offset=0, **kwargs):
         validator = PathValidator(rp.validator.trust_anchors,
                                   metrics=MetricsRegistry(), **kwargs)
-        table = {}
         now = world.clock.now
         files = rp.cache.all_files(now)
-        first = validator.run(files, now, points=table)
+        first = validator.run(files, now)
         validated = validator.points_validated
-        second = validator.run(files, now + now_offset, points=table)
-        return validator, validated, first, second, table
+        second = validator.run(files, now + now_offset)
+        return validator, validated, first, second
 
     def test_same_instant_replays_every_point(self, world):
         rp = make_rp(world)
         rp.refresh()
-        validator, validated, first, second, _ = self.run_twice(world, rp)
+        validator, validated, first, second = self.run_twice(world, rp)
         assert second == first
         assert validator.points_validated == validated
         assert validator.points_replayed == validated
 
-    def test_clock_movement_revalidates(self, world):
-        rp = make_rp(world)
-        rp.refresh()
-        validator, validated, _, _, _ = self.run_twice(world, rp,
-                                                       now_offset=1)
-        assert validator.points_validated == 2 * validated
-        assert validator.points_replayed == 0
-
     def test_lean_entries_hold_no_roas(self, world):
         rp = make_rp(world)
         rp.refresh()
-        _, _, first, second, table = self.run_twice(
+        validator, _, first, second = self.run_twice(
             world, rp, collect_objects=False
         )
-        assert table
-        assert all(entry.roas == () for entry, _now in table.values())
-        assert sum(entry.roa_count for entry, _now in table.values()) == (
-            first.roa_count
-        )
+        stored = validator._points.values()
+        assert stored
+        assert all(entry.roas == () for entry in stored)
+        assert sum(entry.roa_count for entry in stored) == first.roa_count
         assert second.roa_count == first.roa_count > 0
         assert first.validated_roas == []
 
-    def test_standalone_runs_keep_no_table(self, world, parses):
+    def test_second_run_replays_without_parsing(self, world, parses):
         rp = make_rp(world)
         rp.refresh()
         validator = PathValidator(rp.validator.trust_anchors,
@@ -171,5 +161,5 @@ class TestReuseRule:
             before = parses[0]
             validator.run(files, now)
             counts.append(parses[0] - before)
-        assert counts[0] == counts[1] > 0
-        assert validator.points_replayed == 0
+        assert counts[0] > counts[1] == 0
+        assert validator.points_replayed == validator.points_validated

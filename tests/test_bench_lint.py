@@ -93,7 +93,7 @@ def test_lint_catches_invalid_json(tmp_path):
 
 def _profile_payload(**overrides):
     payload = {
-        "scale": "internet-small", "seed": 0, "mode": "serial",
+        "scale": "internet-small", "seed": 0,
         "lean": True, "roa_count": 10000, "authority_count": 205,
         "vrp_count": 10000, "rounds": 2,
         "build_seconds": 6.0, "refresh_seconds": 3.5,

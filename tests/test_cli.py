@@ -123,10 +123,9 @@ class TestCli:
         out = run(capsys, "stalloris", "--attack-cycles", "3")
         assert "Stalloris-grade slowdown" in out
         assert "arin-amp.example" in out
-        # The attack table contrasts both postures on every engine.
-        for engine in ("serial", "incremental"):
-            assert f"{engine}/budget" in out
-            assert f"{engine}/scheduled" in out
+        # The attack table contrasts both postures.
+        rows = {line.split()[0] for line in out.splitlines() if line.strip()}
+        assert {"budget", "scheduled"} <= rows
         # Unscheduled refresh crosses the stale grace; scheduled never does.
         assert "4200s" in out
         assert "never" in out
@@ -168,9 +167,9 @@ class TestCli:
 
     def test_perf_emit_metrics(self, capsys):
         out = run(capsys, "perf", "--epochs", "3", "--emit-metrics")
-        assert "repro_incremental_verify_memo_total" in out
-        assert "repro_incremental_points_total" in out
-        assert "repro_incremental_skipped_verifications_total" in out
+        assert "repro_validation_points_total" in out
+        assert "repro_incremental_invalidations_total" in out
+        assert "repro_incremental_verify_memo_total" not in out
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -250,11 +249,11 @@ class TestRtrCommand:
     def test_profile_smoke(self, capsys):
         out = run(capsys, "profile", "--top", "5")
         assert "Profiled refresh over the 'small' deployment" in out
-        assert "serial mode, lean" in out
+        assert "(seed 21, lean)" in out
         assert "top 5 refresh functions by self time" in out
         assert "top 5 world-build functions by self time" in out
         assert "tools/profile_refresh.py" in out
 
     def test_profile_seed(self, capsys):
         out = run(capsys, "profile", "--top", "3", "--seed", "9")
-        assert "seed 9" in out and "serial mode" in out
+        assert "(seed 9, lean)" in out

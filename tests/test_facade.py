@@ -62,4 +62,6 @@ class TestFacade:
 
         assert repro.QueryService is DeepService
         assert repro.validate is deep_validate
-        assert "serial" in repro.ENGINE_MODES
+        # One validation engine: the engine-selection exports are gone.
+        for gone in ("ENGINE_MODES", "IncrementalState", "ParseMemo"):
+            assert not hasattr(repro, gone)

@@ -120,7 +120,6 @@ def check_artifact(path: pathlib.Path) -> list[str]:
 _PROFILE_FIELDS: dict[str, type | tuple[type, ...]] = {
     "scale": str,
     "seed": int,
-    "mode": str,
     "lean": bool,
     "roa_count": int,
     "authority_count": int,

@@ -41,10 +41,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--top", type=int, default=20,
                         help="hotspot rows to keep (default 20)")
     parser.add_argument(
-        "--mode", choices=["serial", "incremental"], default="serial",
-        help="engine mode (default: serial)",
-    )
-    parser.add_argument(
         "--full-objects", action="store_true",
         help="retain validated ROA objects (profile the non-lean path)",
     )
@@ -60,7 +56,6 @@ def main(argv: list[str] | None = None) -> int:
         args.scale,
         seed=args.seed,
         top=args.top,
-        mode=args.mode,
         lean=not args.full_objects,
     )
     print(report.render())
