@@ -13,9 +13,9 @@ Two claims:
 2. **Invariants at scale.**  The 200-cycle seeded campaign, mixing every
    timing and Byzantine fault kind against a faulted relying party (its
    every warm run checked against a cold validator) and an RTR pair,
-   completes with zero unhandled exceptions and the safety + equivalence
-   invariants intact every cycle — the acceptance sweep for the chaos
-   harness.
+   completes with zero unhandled exceptions and the safety, equivalence
+   and serial-agreement invariants intact every cycle — the acceptance
+   sweep for the chaos harness.
 
 Artifact: ``BENCH_chaos.json`` under ``benchmarks/artifacts/``.
 """
@@ -96,6 +96,7 @@ def test_200_cycle_campaign_acceptance():
     result = run_campaign(config)
     assert result.violation is None, str(result.violation)
     assert result.cycles_run == 200
+    assert result.serial_checks == 200   # API == RTR == journal serial
     # The seeded plan exercises the full fault menu.
     planned_kinds = {fault.kind for fault in result.plan.faults}
     assert planned_kinds == set(FAULT_MENU)
@@ -108,6 +109,7 @@ def test_200_cycle_campaign_acceptance():
         "quarantined_objects": result.quarantined_objects,
         "degraded_points": result.degraded_points,
         "rtr_events": result.rtr_events,
+        "serial_checks": result.serial_checks,
         "clean_vrps": result.clean_vrps,
         "violation": None,
     }

@@ -8,7 +8,7 @@ through a tier of chained non-validating caches, with
 1. **bounded per-cycle cost** — after the initial full sync, a
    one-ROA-per-cycle churn costs O(delta x sessions) prefix PDUs, never
    a re-send of the world;
-2. **bounded delta history** — the root cache's delta window stays
+2. **bounded delta history** — the root cache's VRP journal stays
    capped (compaction observed) no matter how many serials the campaign
    burns, and a laggard that sleeps through the window gets a Cache
    Reset, not an unbounded replay;
@@ -26,7 +26,7 @@ from conftest import write_artifact
 
 from repro.modelgen import INTERNET_SCALES, DeploymentConfig, build_deployment
 from repro.repository import PERSISTENT, FaultInjector, FaultKind, Fetcher
-from repro.rp import RelyingParty
+from repro.rp import RelyingParty, VrpJournal
 from repro.rtr import (
     CacheChain,
     DuplexPipe,
@@ -79,7 +79,10 @@ def _run_fleet() -> dict:
     world.clock.advance(HOUR)
     rp.refresh()
 
-    root = RtrCacheServer(history_window=HISTORY_WINDOW, metrics=metrics)
+    root = RtrCacheServer(
+        journal=VrpJournal(window=HISTORY_WINDOW, metrics=metrics),
+        metrics=metrics,
+    )
     root.update(rp.vrps)
     chain = CacheChain(root, tiers=TIERS, fanout=FANOUT)
     chain.pump()
@@ -184,10 +187,10 @@ def _run_fleet() -> dict:
         "stale_router_cycles": stale_router_cycles,
         "root_serial": root.serial,
         "vrps": len(rp.vrps),
-        "history_serials": root.delta_history_serials,
-        "history_vrps": root.delta_history_vrps,
-        "compactions": metrics.get("repro_rtr_compactions_total").value(
-            reason="window"),
+        "history_serials": len(root.journal.entries),
+        "history_vrps": root.journal.retained_vrps,
+        "compactions": metrics.get(
+            "repro_journal_compactions_total").value(reason="window"),
         "laggard_resets": resets.value(reason="compacted") - resets_before,
         "laggards_synced": sum(
             1 for lag in laggards
@@ -266,7 +269,10 @@ def test_internet_scale_session_sync():
     world.clock.advance(HOUR)
     rp.refresh()
 
-    root = RtrCacheServer(history_window=HISTORY_WINDOW, metrics=metrics)
+    root = RtrCacheServer(
+        journal=VrpJournal(window=HISTORY_WINDOW, metrics=metrics),
+        metrics=metrics,
+    )
     root.update(rp.vrps)
     sessions = []
     for _ in range(INTERNET_SESSIONS):

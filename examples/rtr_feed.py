@@ -42,7 +42,7 @@ def main() -> None:
     )
     rp.refresh()
 
-    cache = RtrCacheServer(session_id=2013)
+    cache = RtrCacheServer(session_id=2013, journal=rp.journal)
     cache.update(rp.vrps)
     routers = []
     for _ in range(2):

@@ -46,7 +46,6 @@ from .api import (
     ApiConfig,
     ApiResponse,
     CacheStats,
-    HistoryEntry,
     QueryService,
     QueryStatus,
     RateLimitConfig,
@@ -126,6 +125,7 @@ from .resources import ASN, Afi, Prefix, PrefixTrie, ResourceSet
 from .rp import (
     VRP,
     DegradationReport,
+    JournalEntry,
     OriginValidationOutcome,
     PathValidator,
     RefreshReport,
@@ -134,8 +134,8 @@ from .rp import (
     RouteValidity,
     SuspendersRelyingParty,
     ValidationRun,
+    VrpJournal,
     VrpSet,
-    classify,
     validate,
 )
 from .rpki import CertificateAuthority, ResourceCertificate, Roa
@@ -159,7 +159,7 @@ from .telemetry import (
     trace,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [
@@ -172,8 +172,8 @@ __all__ = [
     "DetectionExperiment", "DuplexPipe", "FaultInjector",
     "FaultKind", "FaultPlan", "FetchResult", "FetchScheduler", "FetchStatus",
     "Fetcher",
-    "Figure2World", "Gauge", "HOUR", "Histogram", "HistoryEntry",
-    "INTERNET_SCALES", "KeyFactory", "LocalCache",
+    "Figure2World", "Gauge", "HOUR", "Histogram",
+    "INTERNET_SCALES", "JournalEntry", "KeyFactory", "LocalCache",
     "MetricsRegistry",
     "OriginValidationOutcome", "PERSISTENT", "PathValidator",
     "PlannedFault", "Prefix", "PrefixTrie", "QueryService", "QueryStatus",
@@ -185,9 +185,9 @@ __all__ = [
     "SessionMux", "ShardRouter", "Span", "StallConfig", "StallDetector",
     "StallorisConfig", "StallorisReport",
     "SuspendersRelyingParty", "TokenBucket", "VRP", "ValidationRun",
-    "Violation", "VrpDiff", "VrpSet", "YEAR", "__version__",
+    "Violation", "VrpDiff", "VrpJournal", "VrpSet", "YEAR", "__version__",
     "always_reachable", "analyze", "build_deployment", "build_figure2",
-    "build_plan", "build_table4_world", "classify", "collateral_of_revocation",
+    "build_plan", "build_table4_world", "collateral_of_revocation",
     "cross_border_audit", "default_registry", "demonstrate_all",
     "diff_snapshots", "execute_whack", "figure2_bgp",
     "generate_keypair", "measure_stalloris", "missing_roa_impact",

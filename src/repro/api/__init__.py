@@ -32,7 +32,6 @@ from .ratelimit import RateLimitConfig, TokenBucket
 from .service import (
     ApiConfig,
     ApiResponse,
-    HistoryEntry,
     QueryService,
     QueryStatus,
     VrpDiff,
@@ -43,7 +42,6 @@ __all__ = [
     "ApiConfig",
     "ApiResponse",
     "CacheStats",
-    "HistoryEntry",
     "QueryService",
     "QueryStatus",
     "RateLimitConfig",

@@ -7,32 +7,35 @@ endpoints, all deterministic on the simulated clock:
 - ``lookup_asn(asn)`` — every VRP authorizing an origin AS;
 - ``validate_route(prefix, origin)`` — full RFC 6811 validation with
   evidence, via the unified :func:`repro.rp.origin.validate`;
-- ``history()`` — the bounded ring of refresh epochs (serial, content
-  hash, added/removed VRPs);
+- ``history()`` — the relying party's retained journal entries (serial,
+  VRP count, added/removed VRPs);
 - ``diff(from_serial)`` — the net VRP change between two served epochs,
   the monitor-facing "what did the authorities just do to me" query.
 
 Consistency contract: **every answer is computed against the backing
-relying party's live VRP set.**  Each request first syncs the service's
-snapshot with ``rp.last_run`` (an identity check, then a content hash),
-so a refresh performed behind the service's back — including a faulted
-one mid-chaos-campaign — is visible to the very next query.  The
+relying party's live VRP set.**  Each request first syncs with
+``rp.vrps`` (one identity check; on a new set, publish it to
+``rp.journal`` and adopt the journal's serial), so a refresh performed
+behind the service's back — including a faulted one
+mid-chaos-campaign — is visible to the very next query.  The
 benchmark's campaign invariant holds the service to exactly that.
 
-Serial numbers are content-addressed like the RTR cache server's: a
-refresh that validates to an identical VRP set does not bump the serial
-and keeps every cached response warm; any real change bumps it and
-records an added/removed delta in the history ring.
+Serials are the relying party's :class:`~repro.rp.journal.VrpJournal`
+serials, shared with an RTR cache serving the same journal: a refresh
+that validates to an identical VRP set does not bump the serial, any
+real change bumps it once.  Content queries are cached under the set's
+content hash, so an A→B→A flap keeps them warm.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..rp import RelyingParty
-from ..rp.origin import OriginValidationOutcome, validate
+from ..rp.journal import JournalEntry
+from ..rp.origin import validate
 from ..rp.vrp import VRP, VrpSet
 from ..simtime import Clock
 from ..telemetry import MetricsRegistry, default_registry
@@ -42,7 +45,6 @@ from .shard import ShardRouter
 __all__ = [
     "ApiConfig",
     "ApiResponse",
-    "HistoryEntry",
     "QueryService",
     "QueryStatus",
     "VrpDiff",
@@ -67,7 +69,6 @@ class ApiConfig:
 
     shards: int = 4                 # logical request-routing partitions
     cache_capacity: int = 4096      # response-cache entries, all shards
-    history_depth: int = 32         # refresh epochs kept for diff queries
     rate_limit: RateLimitConfig | None = field(
         default_factory=RateLimitConfig
     )                               # None disables rate limiting
@@ -75,20 +76,6 @@ class ApiConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"need at least one shard: {self.shards}")
-        if self.history_depth < 1:
-            raise ValueError(f"history depth must be >= 1: {self.history_depth}")
-
-
-@dataclass(frozen=True)
-class HistoryEntry:
-    """One served epoch: the VRP set's identity and its delta."""
-
-    serial: int
-    timestamp: int               # simulated time the epoch was adopted
-    content_hash: str
-    vrp_count: int
-    added: tuple[VRP, ...]       # vs the previous served epoch
-    removed: tuple[VRP, ...]
 
 
 @dataclass(frozen=True)
@@ -140,9 +127,6 @@ class QueryService:
             self.config.shards, self.config.cache_capacity, self.metrics
         )
         self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
-        self._history: deque[HistoryEntry] = deque(
-            maxlen=self.config.history_depth
-        )
         self._m_refreshes = self.metrics.counter(
             "repro_api_refreshes_total",
             help="refresh cycles driven through the query service",
@@ -151,22 +135,10 @@ class QueryService:
             "repro_api_rate_limited_total",
             help="requests rejected by the per-client token bucket",
         )
-        self._m_serial = self.metrics.gauge(
-            "repro_api_serial", help="current served epoch serial"
-        )
-        # Genesis snapshot: whatever the RP currently serves (usually the
-        # empty pre-first-refresh set) becomes serial 0.
-        self._vrps: VrpSet = rp.vrps
-        self._hash: str = self._vrps.content_hash()
-        self._serial = 0
-        self._history.append(HistoryEntry(
-            serial=0,
-            timestamp=self._clock.now,
-            content_hash=self._hash,
-            vrp_count=len(self._vrps),
-            added=tuple(self._vrps),
-            removed=(),
-        ))
+        self._vrps: VrpSet | None = None
+        self._serial = -1               # adopted from the journal below
+        self._hash = ""
+        self._sync()
 
     # -- epoch management ----------------------------------------------------
 
@@ -178,33 +150,21 @@ class QueryService:
         return report
 
     def _sync(self) -> None:
-        """Adopt the backing RP's live VRP set if it changed.
+        """Adopt the backing RP's live VRP set if it is a new object.
 
-        Identity check first (refreshes reuse the same ``VrpSet`` object
-        until a new run lands), content hash second (a refresh that
-        validated to identical content is *not* a new epoch).
+        Refreshes reuse the same ``VrpSet`` object until a new run lands,
+        so the per-query cost is one identity check.  A new set is
+        published to the RP's journal, whose serial moves only on a
+        content change; the content hash is recomputed only then.
         """
         live = self.rp.vrps
         if live is self._vrps:
             return
-        live_hash = live.content_hash()
-        if live_hash == self._hash:
-            self._vrps = live
-            return
-        added = tuple(live.added(self._vrps))
-        removed = tuple(live.removed(self._vrps))
+        serial = self.rp.journal.publish(live)
+        if serial != self._serial:
+            self._serial = serial
+            self._hash = live.content_hash()
         self._vrps = live
-        self._hash = live_hash
-        self._serial += 1
-        self._m_serial.set(self._serial)
-        self._history.append(HistoryEntry(
-            serial=self._serial,
-            timestamp=self._clock.now,
-            content_hash=live_hash,
-            vrp_count=len(live),
-            added=added,
-            removed=removed,
-        ))
 
     @property
     def serial(self) -> int:
@@ -237,7 +197,7 @@ class QueryService:
         *cache_epoch* is the key's first component: the content hash for
         content queries (same content → same answer, even across an
         A→B→A flap), the serial for history-shaped queries (whose answer
-        depends on the ring, not just the content).
+        depends on the journal, not just the content).
         """
         shard = self._router.route(query_key)
         if not self._allow(client, self._clock.now):
@@ -300,9 +260,9 @@ class QueryService:
         )
 
     def history(self, *, client: str = "anonymous") -> ApiResponse:
-        """The served-epoch ring, oldest first (bounded by history_depth)."""
+        """The journal's retained entries, oldest first."""
         self._sync()
-        entries = tuple(self._history)
+        entries = self.rp.journal.entries
         return self._serve(
             "history", self._serial, "history",
             lambda: entries,
@@ -316,24 +276,23 @@ class QueryService:
     ) -> ApiResponse:
         """Net VRP change between two served epochs.
 
-        Epochs older than the history window answer ``unknown-serial`` —
-        the bounded-memory tradeoff, mirroring an RTR cache's Cache Reset
+        A range the journal cannot answer — compacted away, ahead of the
+        current serial, or backwards — is ``unknown-serial``: the
+        bounded-memory tradeoff, mirroring an RTR cache's Cache Reset
         when a router is too far behind.
         """
         self._sync()
         to_serial = self._serial if to_serial is None else to_serial
         query_key = f"diff|{from_serial}|{to_serial}"
         shard = self._router.route(query_key)
-        oldest = self._history[0].serial
-        if not (oldest - 1 <= from_serial <= to_serial <= self._serial):
+        entries = self.rp.journal.deltas(from_serial, to_serial)
+        if entries is None:
             shard.count_request("diff", QueryStatus.UNKNOWN_SERIAL)
             return ApiResponse(
                 status=QueryStatus.UNKNOWN_SERIAL, serial=self._serial,
                 content_hash=self._hash, payload=None, cached=False,
                 shard=shard.index,
             )
-        entries = [e for e in self._history
-                   if from_serial < e.serial <= to_serial]
         return self._serve(
             "diff", self._serial, query_key,
             lambda: _net_diff(from_serial, to_serial, entries),
@@ -359,7 +318,7 @@ def _as_prefix(prefix):
 
 
 def _net_diff(
-    from_serial: int, to_serial: int, entries: Iterable[HistoryEntry]
+    from_serial: int, to_serial: int, entries: Iterable[JournalEntry]
 ) -> VrpDiff:
     """Fold per-epoch deltas into one net added/removed pair.
 

@@ -18,9 +18,11 @@ An RTR fan-out rides on the faulted variant: the cache + router pair,
 plus a :class:`~repro.rtr.CacheChain` of non-validating caches
 re-serving the cache's beliefs tier by tier — with its own chaos:
 garbage bytes mid-session, abrupt channel closes, and severed chain
-links (which must heal by reconnecting).
+links (which must heal by reconnecting).  The cache serves the faulted
+relying party's own :class:`~repro.rp.journal.VrpJournal`, which a
+:class:`~repro.api.QueryService` over the same relying party reads too.
 
-After every cycle three invariants are checked:
+After every cycle these invariants are checked:
 
 - **safety** — each faulted variant's VRP set is a subset of the clean
   run's: faults may *remove* validated origins, never invent them.
@@ -31,6 +33,10 @@ After every cycle three invariants are checked:
   relying party replayed.  The attached router's table matches after
   resync, and **every chained cache in every tier** serves exactly the
   validating RP's set once pumped.
+- **serial agreement** — the query plane's serial, the attached
+  router's serial and the journal's serial are one number, and the
+  query plane's ``diff`` since the previous cycle equals the change the
+  router observed: one VRP delta, seen identically by every consumer.
 - **no-crash** — nothing anywhere raises out of the cycle: a violation
   of the containment contract is an unhandled exception here.
 - **bounded interference** — on the scheduled variant, every cached
@@ -50,6 +56,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ..api import ApiConfig, QueryService
 from ..jurisdiction.regions import RIR
 from ..modelgen import DeploymentConfig, build_deployment
 from ..repository import Fetcher, FaultInjector
@@ -127,7 +134,8 @@ class Violation:
     """One invariant broken at one cycle."""
 
     cycle: int
-    # "safety" | "equivalence" | "no-crash" | "bounded-interference"
+    # "safety" | "equivalence" | "serial-agreement" | "no-crash" |
+    # "bounded-interference"
     invariant: str
     detail: str
 
@@ -146,6 +154,7 @@ class CampaignResult:
     quarantined_objects: int = 0
     degraded_points: int = 0
     rtr_events: int = 0
+    serial_checks: int = 0       # cycles the serial agreement was checked
     chain_caches: int = 0
     clean_vrps: int = 0
     # Worst unrelated-point staleness age observed on the scheduled
@@ -292,12 +301,22 @@ class _Campaign:
             if ca.issued_roas
         ]
 
-        # RTR rides on the faulted variant.
-        self.server = RtrCacheServer(metrics=self.faulted.metrics)
+        # RTR and the query plane ride on the faulted variant, both
+        # reading its relying party's journal.
+        self.server = RtrCacheServer(
+            journal=self.faulted.rp.journal, metrics=self.faulted.metrics
+        )
+        self.service = QueryService(
+            self.faulted.rp, config=ApiConfig(rate_limit=None),
+            metrics=self.faulted.metrics,
+        )
         self.pipe: DuplexPipe | None = None
         self.router: RtrRouterClient | None = None
         self.rtr_rng = random.Random(config.seed ^ 0x52545221)
         self._attach_router()
+        # What the serial-agreement check compares against next cycle.
+        self.last_serial = self.service.serial
+        self.last_router_set = self.router.vrp_set().as_frozenset()
         # The fan-out tree: non-validating caches re-serving the faulted
         # variant's beliefs, checked tier by tier every cycle.
         self.chain: CacheChain | None = None
@@ -481,7 +500,37 @@ class _Campaign:
                             f"diverged from the validating RP "
                             f"({len(served)} vs {len(served_set)} VRPs)",
                         )
+        violation = self._check_serials(cycle, router_set)
+        if violation is not None:
+            return violation
+        result.serial_checks += 1
         return self._check_interference(cycle, result)
+
+    def _check_serials(
+        self, cycle: int, router_set: frozenset
+    ) -> Violation | None:
+        """API serial == RTR serial == journal serial, and the API's
+        diff since last cycle equals the change the router observed."""
+        serials = (self.service.serial, self.router.serial,
+                   self.faulted.rp.journal.serial)
+        diff = self.service.diff(self.last_serial).payload
+        before = self.last_router_set
+        observed = (tuple(sorted(router_set - before)),
+                    tuple(sorted(before - router_set)))
+        if len(set(serials)) > 1 or diff is None or (
+            (diff.added, diff.removed) != observed
+        ):
+            return Violation(
+                cycle, "serial-agreement",
+                "API/RTR/journal serials {}/{}/{}; API diff since {} "
+                "{} the router's change".format(
+                    *serials, self.last_serial,
+                    "unknown" if diff is None else "disagrees with",
+                ),
+            )
+        self.last_serial = serials[0]
+        self.last_router_set = router_set
+        return None
 
     def _check_interference(
         self, cycle: int, result: CampaignResult

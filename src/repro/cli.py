@@ -503,6 +503,8 @@ def cmd_chaos(args) -> None:
     if result.violation is None:
         print("invariants: safety, equivalence, bounded-interference, "
               "no-crash — held every cycle")
+        print(f"serial agreement (API == RTR == journal, API diff == "
+              f"router's change): held in {result.serial_checks} cycles")
     else:
         print(f"INVARIANT VIOLATION: {result.violation}")
 
@@ -579,6 +581,8 @@ def cmd_api(args) -> None:
     print(f"epoch serial {service.serial}: {len(vrps)} VRPs, "
           f"content hash {service.content_hash[:16]}..., "
           f"{service.shard_count} shards")
+    print(f"VRP journal (shared with RTR): window {rp.journal.window} "
+          f"serials, at most {rp.journal.max_vrps} delta VRPs")
 
     print("\n== RFC 6811 classification (every VRP, then a forged origin) ==")
     states = {"valid": 0, "invalid": 0, "unknown": 0}
@@ -630,6 +634,7 @@ def cmd_api(args) -> None:
 
 def cmd_rtr(args) -> None:
     from .modelgen import build_deployment
+    from .rp import VrpJournal
     from .rtr import (
         CacheChain, DuplexPipe, RouterState, RtrCacheServer, RtrRouterClient,
     )
@@ -641,14 +646,15 @@ def cmd_rtr(args) -> None:
     world.clock.advance(HOUR)
     rp.refresh()
 
-    server = RtrCacheServer(history_window=4)
+    journal = VrpJournal(window=4)
+    server = RtrCacheServer(journal=journal)
     server.update(rp.vrps)
     chain = CacheChain(server, tiers=args.tiers, fanout=args.fanout)
     chain.pump()
     print(f"RTR fan-out over the {scale!r} deployment (seed {config.seed})\n")
     print(f"validating cache: serial {server.serial}, "
-          f"{server.vrp_count} VRPs, history window "
-          f"{server.history_window} serials")
+          f"{server.vrp_count} VRPs, journal window {journal.window} "
+          f"serials / {journal.max_vrps} delta VRPs")
     print(f"chain: {args.tiers} tier(s) x fanout {args.fanout} = "
           f"{len(chain.caches())} non-validating caches "
           f"({len(chain.deepest())} at the deepest tier)")
@@ -702,7 +708,7 @@ def cmd_rtr(args) -> None:
     server.process()
     laggard.process()
     stale_serial = laggard.serial
-    for cycle in range(server.history_window + 2):
+    for cycle in range(journal.window + 2):
         donor.issue_roa(64600 + cycle, str(prefix), name=f"lag-{cycle}.roa")
         world.clock.advance(HOUR)
         rp.refresh()
@@ -715,7 +721,7 @@ def cmd_rtr(args) -> None:
     laggard.process()   # Cache Reset received -> Reset Query sent
     server.process()
     laggard.process()   # full snapshot applied
-    compactions = registry.get("repro_rtr_compactions_total")
+    compactions = registry.get("repro_journal_compactions_total")
     print(f"slept from serial {stale_serial} to {server.serial} while "
           f"{compactions.value(reason='window'):.0f} serials were "
           f"compacted away")

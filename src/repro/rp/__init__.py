@@ -12,14 +12,9 @@ from .alt_semantics import (
     classify_disposition,
 )
 from .incremental import PointResult, VerificationMemo
+from .journal import JournalEntry, VrpJournal
 from .lta import LocalOverrides, classify_with_overrides
-from .origin import (
-    OriginValidationOutcome,
-    classify,
-    classify_parts,
-    explain,
-    validate,
-)
+from .origin import OriginValidationOutcome, validate
 from .pathval import PathValidator, Severity, ValidationIssue, ValidationRun
 from .relying_party import DegradationReport, RefreshReport, RelyingParty
 from .states import Route, RouteValidity
@@ -33,6 +28,7 @@ __all__ = [
     "SubprefixDisposition",
     "classify_disposition",
     "DegradationReport",
+    "JournalEntry",
     "OriginValidationOutcome",
     "PointResult",
     "VerificationMemo",
@@ -48,9 +44,7 @@ __all__ = [
     "VRP",
     "ValidationIssue",
     "ValidationRun",
+    "VrpJournal",
     "VrpSet",
-    "classify",
-    "classify_parts",
-    "explain",
     "validate",
 ]

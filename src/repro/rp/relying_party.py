@@ -32,6 +32,7 @@ from ..rpki.cert import ResourceCertificate
 from ..simtime import Clock
 from ..telemetry import MetricsRegistry, default_registry
 from .origin import OriginValidationOutcome, validate
+from .journal import VrpJournal
 from .pathval import PathValidator, ValidationRun
 from .states import Route, RouteValidity
 from .vrp import VrpSet
@@ -202,6 +203,9 @@ class RelyingParty:
         )
         self._clock = clock if clock is not None else fetcher.clock
         self._last_run: ValidationRun | None = None
+        # The serial-numbered delta history every serving consumer reads
+        # (RTR cache, query plane); they publish :attr:`vrps` into it.
+        self.journal = VrpJournal(metrics=self.metrics)
         self._m_refreshes = self.metrics.counter(
             "repro_rp_refresh_total", help="completed refresh cycles"
         )

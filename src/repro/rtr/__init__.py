@@ -3,8 +3,8 @@
 The final hop of the paper's Figure 1 pipeline, with real wire encoding:
 a relying-party cache serves its VRP set over RTR sessions — multiplexed
 through an event-driven :class:`SessionMux` with per-session fairness,
-bounded delta history with snapshot compaction, and cache-to-cache
-chaining for router-fleet fan-out; routers hold local tables
+deltas read from a bounded :class:`~repro.rp.journal.VrpJournal`, and
+cache-to-cache chaining for router-fleet fan-out; routers hold local tables
 synchronized by serial-numbered deltas.
 """
 

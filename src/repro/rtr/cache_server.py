@@ -1,12 +1,13 @@
 """The cache side of RTR: a relying party serving a router fleet.
 
-Keeps the current VRP set under a monotonically increasing *serial*, a
-**bounded** window of per-serial deltas for incremental updates, and any
-number of attached router sessions behind an event-driven
-:class:`~repro.rtr.mux.SessionMux`.  When the relying party's refresh
-changes the VRP set, :meth:`RtrCacheServer.update` bumps the serial and
-sends a Serial Notify down every session — the routers then pull the
-delta.
+Serves a :class:`~repro.rp.journal.VrpJournal` — the current VRP set
+under a monotonically increasing *serial* plus a bounded window of
+per-serial deltas — to any number of attached router sessions behind an
+event-driven :class:`~repro.rtr.mux.SessionMux`.  The journal is the
+relying party's own (``RtrCacheServer(journal=rp.journal)``, so RTR and
+the query plane share one serial space) or a private one.  When
+:meth:`RtrCacheServer.update` moves the journal's serial, a Serial
+Notify goes down every session; the routers then pull the delta.
 
 Three serving-scale mechanisms (see docs/rtr.md):
 
@@ -14,11 +15,9 @@ Three serving-scale mechanisms (see docs/rtr.md):
   set with per-session fairness budgets, so one tick costs O(active
   sessions), not O(fleet), and one chatty session cannot starve its
   siblings.
-- **Delta compaction.**  The history window is bounded both in serials
-  (``history_window``) and in total delta VRPs (``max_history_vrps``);
-  compacted-away serials are answered with Cache Reset — the client
-  re-syncs from the snapshot instead of the cache replaying unbounded
-  history (the Stalloris-shaped memory attack this forecloses).
+- **Delta compaction.**  A Serial Query for a serial the journal has
+  compacted away (or one ahead of the cache) is answered with Cache
+  Reset: a snapshot re-sync, never an unbounded history replay.
 - **Burst caching.**  The full-snapshot burst and every delta burst are
   encoded once per serial and re-served as bytes, so syncing 1,000
   routers costs one encoding plus 1,000 buffer appends.
@@ -30,9 +29,7 @@ route-validity oracle.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-
+from ..rp.journal import JournalEntry, VrpJournal
 from ..rp.vrp import VRP, VrpSet
 from ..telemetry import MetricsRegistry, default_registry
 from .channel import ChannelClosed, DuplexPipe
@@ -52,55 +49,11 @@ from .pdu import (
 
 __all__ = ["RtrCacheServer"]
 
-_DEFAULT_HISTORY_WINDOW = 16
-_DEFAULT_MAX_HISTORY_VRPS = 4096
-
-# CamelCase PDU class name -> snake_case label value, cached because the
-# lookup sits on the per-PDU send path.
-_PDU_LABELS: dict[type, str] = {}
-
-
-def _pdu_label(pdu: Pdu) -> str:
-    label = _PDU_LABELS.get(type(pdu))
-    if label is None:
-        name = type(pdu).__name__
-        label = "".join(
-            ("_" + ch.lower()) if ch.isupper() else ch for ch in name
-        ).lstrip("_")
-        _PDU_LABELS[type(pdu)] = label
-    return label
-
-
 def _prefix_pdu(announce: bool, vrp: VRP) -> PrefixPdu:
     return PrefixPdu(
         announce=announce, prefix=vrp.prefix,
         max_length=vrp.max_length, asn=vrp.asn,
     )
-
-
-@dataclass
-class _Delta:
-    """One serial's change set, with its wire encoding cached."""
-
-    announced: list[VRP] = field(default_factory=list)
-    withdrawn: list[VRP] = field(default_factory=list)
-    encoded: bytes | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.announced) + len(self.withdrawn)
-
-    def encode(self) -> bytes:
-        """Withdrawals then announcements, encoded once and memoized."""
-        if self.encoded is None:
-            parts = [
-                encode_pdu(_prefix_pdu(False, vrp)) for vrp in self.withdrawn
-            ]
-            parts += [
-                encode_pdu(_prefix_pdu(True, vrp)) for vrp in self.announced
-            ]
-            self.encoded = b"".join(parts)
-        return self.encoded
 
 
 class RtrCacheServer:
@@ -110,26 +63,23 @@ class RtrCacheServer:
         self,
         *,
         session_id: int = 1,
-        history_window: int = _DEFAULT_HISTORY_WINDOW,
-        max_history_vrps: int = _DEFAULT_MAX_HISTORY_VRPS,
+        journal: VrpJournal | None = None,
         fairness_budget: int | None = None,
         metrics: MetricsRegistry | None = None,
     ):
         if not 0 <= session_id <= 0xFFFF:
             raise ValueError(f"session id out of range: {session_id}")
-        if history_window < 1:
-            raise ValueError("history window must be at least 1")
-        if max_history_vrps < 1:
-            raise ValueError("history VRP bound must be at least 1")
         self.session_id = session_id
-        self.history_window = history_window
-        self.max_history_vrps = max_history_vrps
-        self.serial = 0
-        self._current = VrpSet()
-        self._history: dict[int, _Delta] = {}
-        self._history_vrps = 0
-        self._snapshot: tuple[int, bytes, int] | None = None
         self.metrics = metrics if metrics is not None else default_registry()
+        self.journal = (
+            journal if journal is not None
+            else VrpJournal(metrics=self.metrics)
+        )
+        self._notified = self.journal.serial
+        self._snapshot: tuple[int, bytes, int] | None = None
+        # serial -> that serial's delta PDUs, encoded once; pruned to the
+        # serials the journal retains.
+        self._delta_bytes: dict[int, bytes] = {}
         mux_budget = {} if fairness_budget is None else {
             "fairness_budget": fairness_budget
         }
@@ -144,7 +94,7 @@ class RtrCacheServer:
         self._pdu_counters: dict[str, object] = {}
         self._m_serial_bumps = self.metrics.counter(
             "repro_rtr_serial_bumps_total",
-            help="serial increments caused by real VRP-set change",
+            help="serial increments announced to router sessions",
         )
         self._m_vrps = self.metrics.gauge(
             "repro_rtr_vrps", help="VRPs in the currently served set"
@@ -153,19 +103,6 @@ class RtrCacheServer:
             "repro_rtr_errors_total",
             help="router sessions dropped for cause, by error class",
             labelnames=("kind",),
-        )
-        self._m_history_vrps = self.metrics.gauge(
-            "repro_rtr_delta_history_vrps",
-            help="VRPs held across the retained delta window",
-        )
-        self._m_history_serials = self.metrics.gauge(
-            "repro_rtr_delta_history_serials",
-            help="serials retained in the delta window",
-        )
-        self._m_compactions = self.metrics.counter(
-            "repro_rtr_compactions_total",
-            help="delta serials compacted away into the snapshot, by reason",
-            labelnames=("reason",),
         )
         self._m_resets = self.metrics.counter(
             "repro_rtr_cache_resets_total",
@@ -176,78 +113,37 @@ class RtrCacheServer:
 
     # -- data-side API -----------------------------------------------------
 
-    def update(self, vrps: VrpSet | set[VRP] | frozenset[VRP]) -> int:
-        """Install a new VRP set; returns the (possibly unchanged) serial.
+    def update(self, vrps: VrpSet) -> int:
+        """Publish *vrps* to the journal; returns the (possibly same) serial.
 
-        Deltas come from :meth:`VrpSet.added` / :meth:`VrpSet.removed`,
-        which reuse both sets' cached frozensets — one set difference,
-        not a per-element probe.  A no-op update does not bump the
-        serial (RFC 6810 serials only move on real change).
-
-        .. deprecated:: 1.7
-           Passing a raw ``set[VRP]`` is deprecated; build a
-           :class:`VrpSet` (whose delta views are cached) instead.
+        Whenever the journal's serial has moved past the last one
+        announced (by this call, or by another reader of a shared
+        journal publishing first), every session gets a Serial Notify.
         """
-        if not isinstance(vrps, VrpSet):
-            warnings.warn(
-                "RtrCacheServer.update with a raw set of VRPs is "
-                "deprecated; pass a VrpSet",
-                DeprecationWarning, stacklevel=2,
-            )
-            vrps = VrpSet(vrps)
-        announced = vrps.added(self._current)
-        withdrawn = vrps.removed(self._current)
-        if not announced and not withdrawn:
-            return self.serial
-        self.serial += 1
-        self._current = vrps
-        self._snapshot = None
-        self._m_serial_bumps.inc()
-        self._m_vrps.set(len(vrps))
-        self._history[self.serial] = _Delta(announced, withdrawn)
-        self._history_vrps += len(announced) + len(withdrawn)
-        self._compact_history()
-        self._notify_all()
-        return self.serial
+        serial = self.journal.publish(vrps)
+        if serial != self._notified:
+            self._m_serial_bumps.inc(serial - self._notified)
+            self._notified = serial
+            self._m_vrps.set(len(self.journal.current))
+            oldest = serial - len(self.journal.entries)
+            self._delta_bytes = {
+                s: burst for s, burst in self._delta_bytes.items()
+                if s > oldest
+            }
+            self._notify_all()
+        return serial
 
-    def _compact_history(self) -> None:
-        """Evict deltas past either bound; evicted serials need a reset.
-
-        The snapshot (``self._current``) always answers for compacted
-        serials, so eviction never loses data — it trades replay for a
-        full re-sync, keeping cache memory bounded no matter the churn.
-        """
-        floor = self.serial - self.history_window
-        while self._history:
-            oldest = min(self._history)
-            if oldest <= floor:
-                reason = "window"
-            elif self._history_vrps > self.max_history_vrps:
-                reason = "size"
-            else:
-                break
-            self._history_vrps -= self._history.pop(oldest).size
-            self._m_compactions.inc(reason=reason)
-        self._m_history_vrps.set(self._history_vrps)
-        self._m_history_serials.set(len(self._history))
+    @property
+    def serial(self) -> int:
+        return self.journal.serial
 
     @property
     def vrp_count(self) -> int:
-        return len(self._current)
-
-    @property
-    def delta_history_serials(self) -> int:
-        """Serials currently answerable from delta history."""
-        return len(self._history)
-
-    @property
-    def delta_history_vrps(self) -> int:
-        """Total VRPs held across the retained delta window."""
-        return self._history_vrps
+        return len(self.journal.current)
 
     def current_vrps(self) -> frozenset[VRP]:
         """The served VRP set (the chained-tier equivalence probe)."""
-        return self._current.as_frozenset()
+        return self.journal.current.as_frozenset()
 
     @property
     def session_count(self) -> int:
@@ -264,9 +160,6 @@ class RtrCacheServer:
         if child is None:
             child = self._pdu_counters[label] = self._m_pdus.labels(type=label)
         child.inc(amount)
-
-    def _count_pdu(self, pdu: Pdu) -> None:
-        self._count_label(_pdu_label(pdu))
 
     def _notify_all(self) -> None:
         encoded = encode_pdu(SerialNotify(self.session_id, self.serial))
@@ -287,9 +180,7 @@ class RtrCacheServer:
                 # Malformed bytes from a router: the mux already dropped
                 # the session; report the error best-effort and move on.
                 self._m_errors.inc(kind="decode")
-                self._send_final(session, ErrorReport(
-                    error_code=0, text=event.error,
-                ))
+                self._send_error(session, 0, event.error)
                 continue
             if event.closed:
                 continue
@@ -298,10 +189,9 @@ class RtrCacheServer:
                     self._handle(session, pdu)
                 except Exception as exc:
                     self._m_errors.inc(kind="internal")
-                    self._send_final(session, ErrorReport(
-                        error_code=0,
-                        text=f"internal error: {type(exc).__name__}",
-                    ))
+                    self._send_error(
+                        session, 0, f"internal error: {type(exc).__name__}"
+                    )
                     self.mux.drop(session)
                     break
 
@@ -318,9 +208,7 @@ class RtrCacheServer:
         # says send an Error Report and drop the session.
         elif not isinstance(pdu, (SerialNotify,)):
             self._m_errors.inc(kind="protocol")
-            self._send_final(session, ErrorReport(
-                error_code=3, text=f"unexpected {type(pdu).__name__}",
-            ))
+            self._send_error(session, 3, f"unexpected {type(pdu).__name__}")
             self.mux.drop(session)
 
     def _snapshot_burst(self) -> tuple[bytes, int]:
@@ -332,7 +220,7 @@ class RtrCacheServer:
         if self._snapshot is None or self._snapshot[0] != self.serial:
             parts = [encode_pdu(CacheResponse(self.session_id))]
             count = 0
-            for vrp in self._current:  # cached sorted view
+            for vrp in self.journal.current:  # cached sorted view
                 parts.append(encode_pdu(_prefix_pdu(True, vrp)))
                 count += 1
             parts.append(encode_pdu(EndOfData(self.session_id, self.serial)))
@@ -340,43 +228,38 @@ class RtrCacheServer:
         return self._snapshot[1], self._snapshot[2]
 
     def _send_full(self, session: MuxSession) -> None:
-        burst, prefixes = self._snapshot_burst()
-        if self._send_bytes(session, burst):
-            self._count_label("cache_response")
-            if prefixes:
-                self._count_label("prefix_pdu", prefixes)
-            self._count_label("end_of_data")
+        self._send_burst(session, *self._snapshot_burst())
 
     def _send_incremental(self, session: MuxSession, query: SerialQuery) -> None:
         if query.session_id != self.session_id:
             # The router is talking to a previous incarnation of this
             # cache; make it start over.
-            self._m_resets.inc(reason="session-id")
-            self._send(session, CacheReset())
+            self._send_reset(session, "session-id")
             return
-        if query.serial == self.serial:
-            self._send(session, CacheResponse(self.session_id))
-            self._send(session, EndOfData(self.session_id, self.serial))
+        entries = self.journal.deltas(query.serial)
+        if entries is None:
+            # Compacted away, or a serial this cache never reached: a
+            # snapshot re-sync, never a delta the cache cannot vouch for.
+            ahead = query.serial > self.serial
+            self._send_reset(session, "unknown-serial" if ahead
+                             else "compacted")
             return
-        needed = range(query.serial + 1, self.serial + 1)
-        if not all(s in self._history for s in needed):
-            # The client is behind the compacted window: snapshot re-sync
-            # instead of replaying history the cache no longer holds.
-            self._m_resets.inc(reason="compacted")
-            self._send(session, CacheReset())
-            return
-        deltas = [self._history[s] for s in needed]
         burst = b"".join(
             [encode_pdu(CacheResponse(self.session_id))]
-            + [delta.encode() for delta in deltas]
+            + [self._delta_burst(entry) for entry in entries]
             + [encode_pdu(EndOfData(self.session_id, self.serial))]
         )
-        if self._send_bytes(session, burst):
-            self._count_label("cache_response")
-            prefixes = sum(delta.size for delta in deltas)
-            if prefixes:
-                self._count_label("prefix_pdu", prefixes)
-            self._count_label("end_of_data")
+        self._send_burst(session, burst, sum(entry.size for entry in entries))
+
+    def _delta_burst(self, entry: JournalEntry) -> bytes:
+        """One serial's withdrawals then announcements, encoded once."""
+        burst = self._delta_bytes.get(entry.serial)
+        if burst is None:
+            burst = self._delta_bytes[entry.serial] = b"".join(
+                [encode_pdu(_prefix_pdu(False, vrp)) for vrp in entry.removed]
+                + [encode_pdu(_prefix_pdu(True, vrp)) for vrp in entry.added]
+            )
+        return burst
 
     # -- transmission ------------------------------------------------------
 
@@ -388,14 +271,23 @@ class RtrCacheServer:
             self.mux.drop(session)
             return False
 
-    def _send(self, session: MuxSession, pdu: Pdu) -> None:
-        if self._send_bytes(session, encode_pdu(pdu)):
-            self._count_pdu(pdu)
+    def _send_burst(self, session: MuxSession, burst: bytes, prefixes: int):
+        """Send one Cache Response .. End of Data burst and count it."""
+        if self._send_bytes(session, burst):
+            self._count_label("cache_response")
+            if prefixes:
+                self._count_label("prefix_pdu", prefixes)
+            self._count_label("end_of_data")
 
-    def _send_final(self, session: MuxSession, pdu: Pdu) -> None:
-        """Best-effort send to a session being (or already) dropped."""
+    def _send_reset(self, session: MuxSession, reason: str) -> None:
+        self._m_resets.inc(reason=reason)
+        if self._send_bytes(session, encode_pdu(CacheReset())):
+            self._count_label("cache_reset")
+
+    def _send_error(self, session: MuxSession, code: int, text: str) -> None:
+        """Best-effort Error Report to a session being (or already) dropped."""
         try:
-            session.send(encode_pdu(pdu))
-            self._count_pdu(pdu)
+            session.send(encode_pdu(ErrorReport(error_code=code, text=text)))
+            self._count_label("error_report")
         except ChannelClosed:
             pass

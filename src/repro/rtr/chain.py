@@ -44,16 +44,12 @@ class ChainedRtrCache:
         upstream: RtrCacheServer,
         *,
         session_id: int = 1,
-        history_window: int | None = None,
         metrics: MetricsRegistry | None = None,
     ):
         self.upstream = upstream
         self.metrics = metrics if metrics is not None else upstream.metrics
-        server_opts = {} if history_window is None else {
-            "history_window": history_window
-        }
         self.server = RtrCacheServer(
-            session_id=session_id, metrics=self.metrics, **server_opts
+            session_id=session_id, metrics=self.metrics
         )
         self._applied_serial: int | None = None
         self._m_reconnects = self.metrics.counter(

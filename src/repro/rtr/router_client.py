@@ -4,7 +4,7 @@ Implements the RFC 6810 router state machine: reset synchronization on
 connect, incremental pulls on Serial Notify, and full resynchronization on
 Cache Reset or a session-id change.  The resulting :meth:`vrp_set` is what
 the router's route selection uses — plug it into
-:class:`repro.bgp.SelectionPolicy` via :func:`repro.rp.classify` and the
+:class:`repro.bgp.SelectionPolicy` via :func:`repro.rp.validate` and the
 whole paper pipeline runs over a faithful cache-to-router channel.
 """
 

@@ -19,7 +19,7 @@ from repro.api import (
 from repro.modelgen import DeploymentConfig, build_deployment
 from repro.repository import Fetcher
 from repro.resources import Prefix
-from repro.rp import RelyingParty, VrpSet
+from repro.rp import RelyingParty, VrpJournal, VrpSet
 from repro.rp.origin import validate
 from repro.simtime import HOUR
 from repro.telemetry import MetricsRegistry
@@ -43,6 +43,11 @@ def rp(world):
 def make_service(rp, **config):
     return QueryService(rp, config=ApiConfig(**config),
                         metrics=MetricsRegistry())
+
+
+def bound_journal(rp, window):
+    """Give *rp* a journal retaining only *window* serials."""
+    rp.journal = VrpJournal(window=window, metrics=MetricsRegistry())
 
 
 def whack_a_roa(world):
@@ -77,13 +82,16 @@ class TestEpochs:
         world.clock.advance(HOUR)
         service.refresh()
         entries = service.history().payload
-        assert [e.serial for e in entries] == [0, 1, 2]
-        assert set(entries[1].added) == before
-        assert entries[2].removed
-        assert set(entries[2].removed) == before - set(rp.vrps)
+        # No genesis entry: the journal starts at serial 0 with nothing.
+        assert [e.serial for e in entries] == [1, 2]
+        assert set(entries[0].added) == before
+        assert entries[1].removed
+        assert set(entries[1].removed) == before - set(rp.vrps)
+        assert entries[1].vrp_count == len(rp.vrps)
 
     def test_history_ring_is_bounded(self, world, rp):
-        service = make_service(rp, history_depth=3)
+        bound_journal(rp, 3)
+        service = make_service(rp)
         service.refresh()
         for _ in range(4):
             whack_a_roa(world)
@@ -129,6 +137,26 @@ class TestConsistency:
         assert not first.cached and second.cached
         assert first.payload == second.payload
         assert first.shard == second.shard
+
+    def test_flap_back_keeps_content_answers_warm(self, world, rp):
+        # A -> B -> A where only another journal reader (an RTR update)
+        # saw B: the serial moves twice, content answers stay warm.
+        service = make_service(rp)
+        service.refresh()
+        vrp = next(iter(rp.vrps))
+        service.validate_route(vrp.prefix, vrp.asn)
+        ca = next(ca for ca in world.authorities() if ca.issued_roas)
+        roa = next(iter(ca.issued_roas.values()))
+        ca.issue_roa(64999, str(roa.prefixes[0].prefix), name="flap.roa")
+        world.clock.advance(HOUR)
+        rp.refresh()
+        rp.journal.publish(rp.vrps)                       # B
+        ca.revoke_roa("flap.roa")
+        world.clock.advance(HOUR)
+        rp.refresh()                                      # A again
+        again = service.validate_route(vrp.prefix, vrp.asn)
+        assert again.serial == 3
+        assert again.cached           # keyed on content, not serial
 
     def test_changed_epoch_misses_the_cache(self, world, rp):
         service = make_service(rp)
@@ -177,16 +205,36 @@ class TestDiff:
         assert diff.empty
 
     def test_unknown_serials_rejected(self, world, rp):
-        service = make_service(rp, history_depth=2)
+        bound_journal(rp, 2)
+        service = make_service(rp)
         service.refresh()
         assert service.diff(7).status == QueryStatus.UNKNOWN_SERIAL
         for _ in range(3):
             whack_a_roa(world)
             world.clock.advance(HOUR)
             service.refresh()
-        # Ring now holds serials [3, 4]; epoch 1 has aged out.
+        # The journal now holds serials [3, 4]; epoch 1 has aged out.
         assert service.diff(1).status == QueryStatus.UNKNOWN_SERIAL
+        assert service.diff(2).status == QueryStatus.OK
         assert service.diff(3).status == QueryStatus.OK
+        assert service.diff(4, 3).status == QueryStatus.UNKNOWN_SERIAL
+
+    def test_serials_shared_with_rtr(self, world, rp):
+        from repro.rtr import RtrCacheServer
+
+        service = make_service(rp)
+        server = RtrCacheServer(journal=rp.journal,
+                                metrics=MetricsRegistry())
+        rp.refresh()
+        server.update(rp.vrps)
+        assert service.serial == server.serial == rp.journal.serial == 1
+        whack_a_roa(world)
+        world.clock.advance(HOUR)
+        rp.refresh()
+        # The query plane publishes first; RTR adopts the same serial.
+        assert service.serial == 2
+        assert server.update(rp.vrps) == 2
+        assert len(rp.journal.entries) == 2
 
 
 class TestRateLimiting:

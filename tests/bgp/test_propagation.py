@@ -29,7 +29,7 @@ from repro.bgp import (
     subprefix_hijack,
 )
 from repro.resources import ASN, Prefix
-from repro.rp import VRP, Route, RouteValidity, VrpSet, classify
+from repro.rp import VRP, RouteValidity, VrpSet, validate
 
 
 @pytest.fixture
@@ -175,7 +175,7 @@ class TestRpkiPolicies:
 
     def oracle(self, *vrp_specs):
         vrps = VrpSet(VRP.parse(text, asn) for text, asn in vrp_specs)
-        return lambda route: classify(route, vrps)
+        return lambda route: validate(route.prefix, route.origin, vrps).state
 
     def test_drop_invalid_stops_subprefix_hijack(self, graph):
         validity = self.oracle(("10.4.0.0/16", 4))
@@ -316,7 +316,7 @@ class TestSelectiveDrop:
 
     def oracle(self, *vrp_specs):
         vrps = VrpSet(VRP.parse(text, asn) for text, asn in vrp_specs)
-        return lambda route: classify(route, vrps)
+        return lambda route: validate(route.prefix, route.origin, vrps).state
 
     def test_filters_subprefix_hijack_like_drop_invalid(self, graph):
         validity = self.oracle(("10.4.0.0/16", 4))

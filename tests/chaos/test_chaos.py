@@ -172,6 +172,35 @@ class TestColdReferenceOracle:
         assert result.violation.invariant == "equivalence"
 
 
+class TestSerialAgreement:
+    """RTR and the query plane read one journal; a journal that bumps
+    its serial without a content change must trip the invariant."""
+
+    def test_every_cycle_is_checked(self):
+        result = run_campaign(CampaignConfig(seed=7, cycles=3),
+                              plan=FaultPlan(seed=7, cycles=3))
+        assert result.ok
+        assert result.serial_checks == 3
+
+    def test_bump_on_every_publish_is_caught(self, monkeypatch):
+        from repro.rp import VrpJournal
+
+        publish = VrpJournal.publish
+
+        def always_bump(self, vrps):
+            before = self.serial
+            if publish(self, vrps) == before:
+                self.serial += 1          # a bump with no content change
+            return self.serial
+
+        monkeypatch.setattr(VrpJournal, "publish", always_bump)
+        result = run_campaign(CampaignConfig(seed=7, cycles=3),
+                              plan=FaultPlan(seed=7, cycles=3))
+        assert result.violation is not None
+        assert result.violation.invariant == "serial-agreement"
+        assert "API/RTR/journal serials" in result.violation.detail
+
+
 class TestStagedViolation:
     DEMO = CampaignConfig(seed=11, cycles=4, plant_violation=True)
 

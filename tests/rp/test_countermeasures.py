@@ -15,8 +15,8 @@ from repro.rp import (
     SuspendersRelyingParty,
     VRP,
     VrpSet,
-    classify,
     classify_with_overrides,
+    validate,
 )
 from repro.simtime import DAY, HOUR
 
@@ -235,7 +235,7 @@ class TestLocalOverrides:
         assert overrides.is_empty
         route = Route.parse("63.174.16.0/20", 17054)
         assert classify_with_overrides(route, self.FIGURE2, overrides) is (
-            classify(route, self.FIGURE2)
+            validate(route.prefix, route.origin, self.FIGURE2).state
         )
 
     def test_pin_defeats_whack(self):
@@ -247,7 +247,8 @@ class TestLocalOverrides:
         ])
         overrides = LocalOverrides().pin("63.174.16.0/20", 17054)
         route = Route.parse("63.174.16.0/20", 17054)
-        assert classify(route, whacked) is RouteValidity.INVALID
+        assert validate(route.prefix, route.origin, whacked).state is (
+            RouteValidity.INVALID)
         assert classify_with_overrides(route, whacked, overrides) is (
             RouteValidity.VALID
         )
@@ -265,7 +266,8 @@ class TestLocalOverrides:
             "63.174.17.0/24", 64999, RouteValidity.VALID
         )
         route = Route.parse("63.174.17.0/24", 64999)
-        assert classify(route, self.FIGURE2) is RouteValidity.INVALID
+        assert validate(route.prefix, route.origin, self.FIGURE2).state is (
+            RouteValidity.INVALID)
         assert classify_with_overrides(route, self.FIGURE2, overrides) is (
             RouteValidity.VALID
         )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rp import VRP, Route, RouteValidity, VrpSet, classify, explain
+from repro.rp import VRP, Route, RouteValidity, VrpSet, validate
 
 
 def vrps(*specs):
@@ -67,7 +67,7 @@ class TestVrpSet:
     def test_same_prefix_multiple_asns(self):
         s = vrps(("10.0.0.0/8", 1), ("10.0.0.0/8", 2))
         assert len(s) == 2
-        assert classify(Route.parse("10.0.0.0/8", 2), s) is RouteValidity.VALID
+        assert validate("10.0.0.0/8", 2, s).state is RouteValidity.VALID
 
     def test_difference(self):
         a = vrps(("10.0.0.0/8", 1), ("11.0.0.0/8", 2))
@@ -126,47 +126,47 @@ class TestClassifyFigure2:
     S = vrps(*FIGURE2_VRPS)
 
     def test_slash12_unknown_no_covering_roa(self):
-        assert classify(Route.parse("63.160.0.0/12", 1239), self.S) is (
+        assert validate("63.160.0.0/12", 1239, self.S).state is (
             RouteValidity.UNKNOWN
         )
 
     def test_target20_valid(self):
-        assert classify(Route.parse("63.174.16.0/20", 17054), self.S) is (
+        assert validate("63.174.16.0/20", 17054, self.S).state is (
             RouteValidity.VALID
         )
 
     def test_subprefix_of_roa_invalid(self):
         # "routes for 63.174.17.0/24 are invalid (because of the ROA for
         # 63.174.16.0/20)" — the subprefix-hijack protection.
-        assert classify(Route.parse("63.174.17.0/24", 17054), self.S) is (
+        assert validate("63.174.17.0/24", 17054, self.S).state is (
             RouteValidity.INVALID
         )
 
     def test_subprefix_with_own_roa_valid(self):
         # "...except routes with matching ROAs of their own."
-        assert classify(Route.parse("63.174.16.0/22", 7341), self.S) is (
+        assert validate("63.174.16.0/22", 7341, self.S).state is (
             RouteValidity.VALID
         )
-        assert classify(Route.parse("63.174.20.0/24", 17054), self.S) is (
+        assert validate("63.174.20.0/24", 17054, self.S).state is (
             RouteValidity.VALID
         )
 
     def test_wrong_origin_invalid(self):
-        assert classify(Route.parse("63.174.16.0/20", 666), self.S) is (
+        assert validate("63.174.16.0/20", 666, self.S).state is (
             RouteValidity.INVALID
         )
 
     def test_maxlength_authorizes_subprefixes(self):
-        assert classify(Route.parse("63.161.5.0/24", 1239), self.S) is (
+        assert validate("63.161.5.0/24", 1239, self.S).state is (
             RouteValidity.VALID
         )
         # /25 exceeds maxLength 24.
-        assert classify(Route.parse("63.161.5.0/25", 1239), self.S) is (
+        assert validate("63.161.5.0/25", 1239, self.S).state is (
             RouteValidity.INVALID
         )
 
     def test_unrelated_space_unknown(self):
-        assert classify(Route.parse("8.8.8.0/24", 15169), self.S) is (
+        assert validate("8.8.8.0/24", 15169, self.S).state is (
             RouteValidity.UNKNOWN
         )
 
@@ -178,24 +178,26 @@ class TestSideEffect5:
         before = vrps(*FIGURE2_VRPS)
         after = vrps(*FIGURE2_VRPS, ("63.160.0.0/12-13", 1239))
         probe = Route.parse("63.163.0.0/16", 64512)  # some previously-unknown route
-        assert classify(probe, before) is RouteValidity.UNKNOWN
-        assert classify(probe, after) is RouteValidity.INVALID
+        assert validate(probe.prefix, probe.origin, before).state is (
+            RouteValidity.UNKNOWN)
+        assert validate(probe.prefix, probe.origin, after).state is (
+            RouteValidity.INVALID)
 
     def test_new_roa_validates_its_own_routes(self):
         after = vrps(*FIGURE2_VRPS, ("63.160.0.0/12-13", 1239))
-        assert classify(Route.parse("63.160.0.0/12", 1239), after) is (
+        assert validate("63.160.0.0/12", 1239, after).state is (
             RouteValidity.VALID
         )
-        assert classify(Route.parse("63.160.0.0/13", 1239), after) is (
+        assert validate("63.160.0.0/13", 1239, after).state is (
             RouteValidity.VALID
         )
-        assert classify(Route.parse("63.160.0.0/14", 1239), after) is (
+        assert validate("63.160.0.0/14", 1239, after).state is (
             RouteValidity.INVALID  # beyond maxLength 13
         )
 
     def test_existing_valid_routes_unaffected(self):
         after = vrps(*FIGURE2_VRPS, ("63.160.0.0/12-13", 1239))
-        assert classify(Route.parse("63.174.16.0/20", 17054), after) is (
+        assert validate("63.174.16.0/20", 17054, after).state is (
             RouteValidity.VALID
         )
 
@@ -207,14 +209,14 @@ class TestSideEffect6:
         # Remove (63.174.16.0/22, AS 7341): its route falls to INVALID
         # because the /20 ROA still covers it — the paper's key example.
         without = vrps(*(s for s in FIGURE2_VRPS if s != ("63.174.16.0/22", 7341)))
-        assert classify(Route.parse("63.174.16.0/22", 7341), without) is (
+        assert validate("63.174.16.0/22", 7341, without).state is (
             RouteValidity.INVALID
         )
 
     def test_missing_uncovered_roa_is_merely_unknown(self):
         # Contrast: remove ETB's /24, which no other ROA covers -> unknown.
         without = vrps(*(s for s in FIGURE2_VRPS if s != ("63.168.93.0/24", 19429)))
-        assert classify(Route.parse("63.168.93.0/24", 19429), without) is (
+        assert validate("63.168.93.0/24", 19429, without).state is (
             RouteValidity.UNKNOWN
         )
 
@@ -223,18 +225,18 @@ class TestExplain:
     S = vrps(*FIGURE2_VRPS)
 
     def test_explain_valid(self):
-        outcome = explain(Route.parse("63.174.16.0/22", 7341), self.S)
+        outcome = validate("63.174.16.0/22", 7341, self.S)
         assert outcome.state is RouteValidity.VALID
         assert [str(v) for v in outcome.matching] == ["(63.174.16.0/22, AS7341)"]
         assert len(outcome.covering) == 2  # the /20 ROA also covers
 
     def test_explain_invalid_names_the_covering_roa(self):
-        outcome = explain(Route.parse("63.174.17.0/24", 17054), self.S)
+        outcome = validate("63.174.17.0/24", 17054, self.S)
         assert outcome.state is RouteValidity.INVALID
         assert outcome.matching == ()
         assert "(63.174.16.0/20, AS17054)" in [str(v) for v in outcome.covering]
 
     def test_explain_unknown_is_empty(self):
-        outcome = explain(Route.parse("8.8.8.0/24", 15169), self.S)
+        outcome = validate("8.8.8.0/24", 15169, self.S)
         assert outcome.state is RouteValidity.UNKNOWN
         assert outcome.covering == () and outcome.matching == ()

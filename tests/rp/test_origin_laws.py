@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.resources import ASN, Afi, Prefix
-from repro.rp import VRP, Route, RouteValidity, VrpSet, classify
+from repro.rp import VRP, Route, RouteValidity, VrpSet, validate
 
 
 @st.composite
@@ -40,11 +40,15 @@ def routes(draw):
 vrp_sets = st.lists(vrps(), max_size=8).map(VrpSet)
 
 
+def state_of(route, vrp_set):
+    return validate(route.prefix, route.origin, vrp_set).state
+
+
 @given(routes(), vrp_sets, vrps())
 @settings(max_examples=200)
 def test_adding_vrp_never_unvalidates(route, vrp_set, extra):
-    before = classify(route, vrp_set)
-    after = classify(route, VrpSet(list(vrp_set) + [extra]))
+    before = state_of(route, vrp_set)
+    after = state_of(route, VrpSet(list(vrp_set) + [extra]))
     if before is RouteValidity.VALID:
         assert after is RouteValidity.VALID
 
@@ -52,8 +56,8 @@ def test_adding_vrp_never_unvalidates(route, vrp_set, extra):
 @given(routes(), vrp_sets, vrps())
 @settings(max_examples=200)
 def test_adding_vrp_never_rescues_invalid_to_unknown(route, vrp_set, extra):
-    before = classify(route, vrp_set)
-    after = classify(route, VrpSet(list(vrp_set) + [extra]))
+    before = state_of(route, vrp_set)
+    after = state_of(route, VrpSet(list(vrp_set) + [extra]))
     if before is RouteValidity.INVALID:
         assert after in (RouteValidity.INVALID, RouteValidity.VALID)
 
@@ -64,8 +68,8 @@ def test_removing_vrp_never_invalidates_unknown(route, vrp_set, extra):
     # Construct (S ∪ {extra}) and compare against S: removal is the
     # reverse direction of the previous law.
     bigger = VrpSet(list(vrp_set) + [extra])
-    with_extra = classify(route, bigger)
-    without = classify(route, vrp_set)
+    with_extra = state_of(route, bigger)
+    without = state_of(route, vrp_set)
     if with_extra is RouteValidity.UNKNOWN:
         assert without is RouteValidity.UNKNOWN
 
@@ -76,13 +80,13 @@ def test_classification_is_local_to_covering_vrps(route, vrp_set):
     covering_only = VrpSet(
         v for v in vrp_set if v.prefix.covers(route.prefix)
     )
-    assert classify(route, vrp_set) is classify(route, covering_only)
+    assert state_of(route, vrp_set) is state_of(route, covering_only)
 
 
 @given(routes(), vrp_sets)
 @settings(max_examples=200)
 def test_states_partition(route, vrp_set):
-    state = classify(route, vrp_set)
+    state = state_of(route, vrp_set)
     covering = list(vrp_set.covering(route.prefix))
     matching = [
         v for v in covering if v.matches(route.prefix, route.origin)
@@ -107,7 +111,7 @@ def test_side_effect_6_characterization(route, vrp_set):
     if not matching:
         return
     survivors = VrpSet([v for v in vrp_set if v not in matching])
-    state = classify(route, survivors)
+    state = state_of(route, survivors)
     has_cover = any(True for _ in survivors.covering(route.prefix))
     if has_cover:
         expected = (

@@ -1,16 +1,14 @@
-"""The unified origin entry point and its deprecated aliases.
+"""The unified origin entry point.
 
-``validate(prefix, origin, vrps)`` is the one way in; ``classify``,
-``explain`` and ``classify_parts`` survive as shims that warn and
-delegate.  Equivalence is asserted behaviorally: every alias must return
-exactly what ``validate`` returns for the same inputs.
+``validate(prefix, origin, vrps)`` is the one way in: it returns the
+RFC 6811 state together with the covering and matching evidence.  The
+module-level ``classify`` / ``explain`` / ``classify_parts`` aliases are
+gone (``RelyingParty.classify`` remains, bound to the RP's own set).
 """
 
-import pytest
-
 from repro.resources import Prefix
-from repro.rp import VRP, Route, RouteValidity, VrpSet
-from repro.rp.origin import classify, classify_parts, explain, validate
+from repro.rp import VRP, RouteValidity, VrpSet
+from repro.rp.origin import validate
 
 VRPS = VrpSet([
     VRP.parse("63.160.0.0/12-16", 1239),
@@ -50,42 +48,12 @@ class TestValidate:
         assert outcome.state is RouteValidity.INVALID
 
 
-class TestDeprecatedAliases:
-    def test_classify_warns_and_matches(self):
-        route = Route(Prefix.parse("63.160.0.0/12"), 1239)
-        with pytest.deprecated_call():
-            state = classify(route, VRPS)
-        assert state is validate(route.prefix, route.origin, VRPS).state
+class TestOneEntryPoint:
+    def test_removed_aliases_are_gone(self):
+        import repro
+        import repro.rp
+        import repro.rp.origin
 
-    def test_explain_warns_and_matches(self):
-        route = Route(Prefix.parse("63.160.0.0/12"), 666)
-        with pytest.deprecated_call():
-            outcome = explain(route, VRPS)
-        assert outcome == validate(route.prefix, route.origin, VRPS)
-
-    def test_classify_parts_warns_and_matches(self):
-        # Historical contract: classify_parts returned the bare state.
-        with pytest.deprecated_call():
-            state = classify_parts("63.168.93.0/24", 19429, VRPS)
-        assert state is validate("63.168.93.0/24", 19429, VRPS).state
-
-    def test_warning_names_the_replacement(self):
-        route = Route(Prefix.parse("8.8.8.0/24"), 15169)
-        with pytest.warns(DeprecationWarning, match="validate"):
-            classify(route, VRPS)
-
-    @pytest.mark.parametrize("prefix,origin", [
-        ("63.160.0.0/12", 1239),     # valid
-        ("63.160.0.0/12", 666),      # invalid (origin mismatch)
-        ("63.160.128.0/17", 1239),   # invalid (too specific)
-        ("8.8.8.0/24", 15169),       # unknown
-    ])
-    def test_alias_equivalence_across_states(self, prefix, origin):
-        route = Route(Prefix.parse(prefix), origin)
-        direct = validate(prefix, origin, VRPS)
-        with pytest.deprecated_call():
-            assert classify(route, VRPS) is direct.state
-        with pytest.deprecated_call():
-            assert explain(route, VRPS) == direct
-        with pytest.deprecated_call():
-            assert classify_parts(prefix, origin, VRPS) is direct.state
+        for module in (repro, repro.rp, repro.rp.origin):
+            for name in ("classify", "explain", "classify_parts"):
+                assert not hasattr(module, name), (module.__name__, name)

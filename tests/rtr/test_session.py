@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from repro.rp import VRP, VrpSet
+from repro.rp import VRP, VrpJournal, VrpSet
 from repro.rtr import DuplexPipe, RouterState, RtrCacheServer, RtrRouterClient
 
 
@@ -110,7 +110,7 @@ class TestIncrementalSync:
 
 class TestCacheResetPaths:
     def test_stale_serial_forces_reset(self):
-        server, client = make_pair(history_window=2)
+        server, client = make_pair(journal=VrpJournal(window=2))
         client.connect()
         pump(server, client)
         # Age the router's serial out of the history window.
@@ -125,6 +125,30 @@ class TestCacheResetPaths:
         assert client.state is RouterState.SYNCED
         assert client.vrp_count == len(base)
         assert client.serial == server.serial
+
+    def test_serial_ahead_of_cache_forces_reset(self):
+        # A router synced to serial 7 of one cache reconnects to another
+        # cache (same session id) still at serial 1.  An empty delta
+        # would leave it SYNCED on VRPs the new cache never served.
+        foreign = ("192.0.2.0/24", 64999)
+        old_cache, client = make_pair(initial=[])
+        for i in range(7):
+            old_cache.update(vrps(foreign, (f"10.{i}.0.0/16", 64512 + i)))
+        client.connect()
+        pump(old_cache, client)
+        assert client.serial == 7
+        server = RtrCacheServer()
+        server.update(vrps(*FIGURE2))
+        client.pipe = DuplexPipe()
+        server.attach(client.pipe)
+        resets = server.metrics.get("repro_rtr_cache_resets_total")
+        before = resets.value(reason="unknown-serial")
+        client.poll()
+        pump(server, client)
+        assert resets.value(reason="unknown-serial") == before + 1
+        assert client.state is RouterState.SYNCED
+        assert client.serial == server.serial == 1
+        assert client.vrp_set() == vrps(*FIGURE2)
 
     def test_session_id_mismatch_forces_reset(self):
         server, client = make_pair()
@@ -192,8 +216,6 @@ class TestFailureModes:
     def test_bad_server_args(self):
         with pytest.raises(ValueError):
             RtrCacheServer(session_id=70000)
-        with pytest.raises(ValueError):
-            RtrCacheServer(history_window=0)
 
 
 class TestMalformedPduHandling:
@@ -276,7 +298,7 @@ class TestEndToEndWithRelyingParty:
         from repro.core import execute_whack, plan_whack
         from repro.modelgen import build_figure2
         from repro.repository import Fetcher
-        from repro.rp import RelyingParty, Route, RouteValidity, classify
+        from repro.rp import RelyingParty, Route, RouteValidity, validate
 
         world = build_figure2()
         rp = RelyingParty(
@@ -295,7 +317,8 @@ class TestEndToEndWithRelyingParty:
         assert router.vrp_count == 8
 
         route = Route.parse("63.174.16.0/20", 17054)
-        assert classify(route, router.vrp_set()) is RouteValidity.VALID
+        assert validate(route.prefix, route.origin,
+                        router.vrp_set()).state is RouteValidity.VALID
 
         # The whack: repository change -> RP refresh -> RTR delta -> router.
         execute_whack(plan_whack(world.sprint, world.target20,
@@ -304,32 +327,33 @@ class TestEndToEndWithRelyingParty:
         server.update(rp.vrps)
         pump(server, router)
         assert router.vrp_count == 7
-        assert classify(route, router.vrp_set()) is not RouteValidity.VALID
+        assert validate(route.prefix, route.origin,
+                        router.vrp_set()).state is not RouteValidity.VALID
 
 
 class TestDeltaCompaction:
     def test_history_bounded_by_window(self):
-        server, client = make_pair(history_window=3)
+        server, client = make_pair(journal=VrpJournal(window=3))
         base = list(FIGURE2)
         for i in range(8):
             base.append((f"10.{i}.0.0/16", 64512 + i))
             server.update(vrps(*base))
-        assert server.delta_history_serials <= 3
+        assert len(server.journal.entries) <= 3
         assert server.metrics.get(
-            "repro_rtr_compactions_total").value(reason="window") > 0
+            "repro_journal_compactions_total").value(reason="window") > 0
 
     def test_history_bounded_by_vrp_size(self):
-        server = RtrCacheServer(history_window=64, max_history_vrps=4)
+        server = RtrCacheServer(journal=VrpJournal(window=64, max_vrps=4))
         base = []
         for i in range(6):
             base.append((f"10.{i}.0.0/16", 64512 + i))
             server.update(vrps(*base))
-        assert server.delta_history_vrps <= 4
+        assert server.journal.retained_vrps <= 4
         assert server.metrics.get(
-            "repro_rtr_compactions_total").value(reason="size") > 0
+            "repro_journal_compactions_total").value(reason="size") > 0
 
     def test_compacted_serial_answered_with_reset(self):
-        server, client = make_pair(history_window=2)
+        server, client = make_pair(journal=VrpJournal(window=2))
         client.connect()
         pump(server, client)
         base = list(FIGURE2)
@@ -346,7 +370,7 @@ class TestDeltaCompaction:
         assert client.vrp_set() == vrps(*base)
 
     def test_in_window_serial_still_served_incrementally(self):
-        server, client = make_pair(history_window=8)
+        server, client = make_pair(journal=VrpJournal(window=8))
         client.connect()
         pump(server, client)
         resets = server.metrics.get("repro_rtr_cache_resets_total")
@@ -370,36 +394,41 @@ class TestDeltaCompaction:
         assert rebuilt_count == count + 1
 
     def test_history_gauges_track(self):
-        server, _client = make_pair(history_window=4)
+        server, _client = make_pair(journal=VrpJournal(window=4))
         registry = server.metrics
         server.update(vrps(*FIGURE2, ("10.0.0.0/16", 64512)))
         assert registry.get(
-            "repro_rtr_delta_history_serials").value() == float(
-                server.delta_history_serials)
+            "repro_journal_retained_serials").value() == float(
+                len(server.journal.entries))
         assert registry.get(
-            "repro_rtr_delta_history_vrps").value() == float(
-                server.delta_history_vrps)
+            "repro_journal_retained_vrps").value() == float(
+                server.journal.retained_vrps)
+
+
+class TestSharedJournal:
+    def test_notifies_when_another_reader_moved_the_serial(self):
+        # The query plane may publish the RP's new set before the RTR
+        # update runs; the cache must still announce the new serial.
+        journal = VrpJournal()
+        server, client = make_pair(initial=[], journal=journal)
+        client.connect()
+        pump(server, client)
+        new = vrps(*FIGURE2)
+        journal.publish(new)
+        assert server.update(new) == journal.serial == 1
+        pump(server, client)
+        assert client.serial == 1
+        assert client.vrp_set() == new
+
+    def test_update_returns_the_journal_serial(self):
+        journal = VrpJournal()
+        server = RtrCacheServer(journal=journal)
+        assert server.update(vrps(*FIGURE2)) == journal.serial == 1
+        assert server.serial == journal.serial
+        assert server.current_vrps() == journal.current.as_frozenset()
 
 
 class TestUpdateUnification:
-    def test_raw_set_is_deprecated_but_works(self):
-        server = RtrCacheServer()
-        raw = {VRP.parse(text, asn) for text, asn in FIGURE2}
-        with pytest.deprecated_call():
-            serial = server.update(raw)
-        assert serial == 1
-        assert server.current_vrps() == vrps(*FIGURE2).as_frozenset()
-
-    def test_raw_set_computes_the_same_deltas(self):
-        server = RtrCacheServer()
-        server.update(vrps(*FIGURE2))
-        with pytest.deprecated_call():
-            server.update({
-                VRP.parse(text, asn) for text, asn in FIGURE2[:1]
-            })
-        assert server.serial == 2
-        assert server.current_vrps() == vrps(*FIGURE2[:1]).as_frozenset()
-
     def test_vrpset_path_emits_no_warning(self):
         server = RtrCacheServer()
         with warnings.catch_warnings():

@@ -65,3 +65,12 @@ class TestFacade:
         # One validation engine: the engine-selection exports are gone.
         for gone in ("ENGINE_MODES", "IncrementalState", "ParseMemo"):
             assert not hasattr(repro, gone)
+
+    def test_one_vrp_journal(self):
+        # 1.11.0: RTR and the query plane read one journal; the API's
+        # own history ring is gone.
+        from repro.rp.journal import VrpJournal
+
+        assert repro.VrpJournal is VrpJournal
+        assert not hasattr(repro, "HistoryEntry")
+        assert not hasattr(repro.ApiConfig(), "history_depth")

@@ -26,7 +26,7 @@ from repro.monitor import (
     take_snapshot,
 )
 from repro.repository import Fetcher
-from repro.rp import RelyingParty, Route, RouteValidity, classify
+from repro.rp import RelyingParty, RouteValidity, validate
 from repro.rtr import DuplexPipe, RouterState, RtrCacheServer, RtrRouterClient
 from repro.simtime import DAY, HOUR
 
@@ -107,10 +107,12 @@ def story():
         router.process()
     record["router_vrps_post_whack"] = router.vrp_count
     router_vrps = router.vrp_set()
-    record["router_validity"] = classify(
-        Route.parse("63.174.16.0/20", 17054), router_vrps
-    )
-    validity = lambda route: classify(route, router_vrps)  # noqa: E731
+    record["router_validity"] = validate(
+        "63.174.16.0/20", 17054, router_vrps
+    ).state
+    validity = lambda route: validate(  # noqa: E731
+        route.prefix, route.origin, router_vrps
+    ).state
     policies = policy_table(
         list(graph.ases()), LocalPolicy.DROP_INVALID, validity
     )
@@ -127,10 +129,12 @@ def story():
         cache.process()
         router.process()
     recovered_vrps = router.vrp_set()
-    record["router_validity_recovered"] = classify(
-        Route.parse("63.174.16.0/20", 17054), recovered_vrps
-    )
-    validity2 = lambda route: classify(route, recovered_vrps)  # noqa: E731
+    record["router_validity_recovered"] = validate(
+        "63.174.16.0/20", 17054, recovered_vrps
+    ).state
+    validity2 = lambda route: validate(  # noqa: E731
+        route.prefix, route.origin, recovered_vrps
+    ).state
     policies2 = policy_table(
         list(graph.ases()), LocalPolicy.DROP_INVALID, validity2
     )

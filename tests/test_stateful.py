@@ -28,7 +28,7 @@ from hypothesis.stateful import (
 from repro.crypto import KeyFactory, sha256_hex
 from repro.repository import Fetcher, RepositoryRegistry, HostLocator
 from repro.resources import ResourceSet
-from repro.rp import VRP, RelyingParty, VrpSet
+from repro.rp import VRP, RelyingParty, VrpJournal, VrpSet
 from repro.rpki import (
     CRL_FILE,
     MANIFEST_FILE,
@@ -152,7 +152,7 @@ class RtrSyncMachine(RuleBasedStateMachine):
 
     @initialize()
     def setup(self):
-        self.cache = RtrCacheServer(history_window=3)
+        self.cache = RtrCacheServer(journal=VrpJournal(window=3))
         self.pipe = DuplexPipe()
         self.cache.attach(self.pipe)
         self.router = RtrRouterClient(self.pipe)
