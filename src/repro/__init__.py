@@ -50,7 +50,6 @@ from .api import (
     QueryStatus,
     RateLimitConfig,
     ResponseCache,
-    ShardRouter,
     TokenBucket,
     VrpDiff,
 )
@@ -182,7 +181,7 @@ __all__ = [
     "ResourceSet", "ResponseCache", "RetryPolicy", "Roa", "Route",
     "RouteValidity", "RsyncUri", "RtrCacheServer", "RtrRouterClient",
     "SchedulerConfig",
-    "SessionMux", "ShardRouter", "Span", "StallConfig", "StallDetector",
+    "SessionMux", "Span", "StallConfig", "StallDetector",
     "StallorisConfig", "StallorisReport",
     "SuspendersRelyingParty", "TokenBucket", "VRP", "ValidationRun",
     "Violation", "VrpDiff", "VrpJournal", "VrpSet", "YEAR", "__version__",

@@ -9,7 +9,7 @@ per-ASN VRP lookups, RFC 6811 classification of arbitrary announcements
 history/diff queries across refreshes — all on the simulated clock, so
 identical runs serve identical answers.
 
-The serving layer is built from three production idioms:
+The serving layer is built from two production idioms:
 
 - **Deterministic token-bucket rate limiting** per client
   (:mod:`repro.api.ratelimit`) — refill is a pure function of the
@@ -19,8 +19,6 @@ The serving layer is built from three production idioms:
   nothing keeps every entry warm, and any VRP change rotates the key so
   stale answers can never be served — the content-addressed idiom of the
   validator's point replay, applied to responses.
-- **N-shard request routing** with per-shard telemetry counters and
-  histograms (:mod:`repro.api.shard`).
 
 See docs/api_service.md for the walkthrough and
 ``benchmarks/test_bench_api.py`` for the sustained-throughput pin and
@@ -36,7 +34,6 @@ from .service import (
     QueryStatus,
     VrpDiff,
 )
-from .shard import ShardRouter
 
 __all__ = [
     "ApiConfig",
@@ -46,7 +43,6 @@ __all__ = [
     "QueryStatus",
     "RateLimitConfig",
     "ResponseCache",
-    "ShardRouter",
     "TokenBucket",
     "VrpDiff",
 ]

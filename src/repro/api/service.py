@@ -39,8 +39,8 @@ from ..rp.origin import validate
 from ..rp.vrp import VRP, VrpSet
 from ..simtime import Clock
 from ..telemetry import MetricsRegistry, default_registry
+from .cache import ResponseCache
 from .ratelimit import RateLimitConfig, TokenBucket
-from .shard import ShardRouter
 
 __all__ = [
     "ApiConfig",
@@ -53,6 +53,11 @@ __all__ = [
 # Most clients a service tracks rate-limit state for; beyond this the
 # least-recently-seen client's bucket is dropped (and refills on return).
 _MAX_TRACKED_CLIENTS = 4096
+
+# Response-size buckets: answers are usually a handful of VRPs; the tail
+# (lookup_asn over a big holder) is what the histogram is for.
+RESPONSE_VRP_BUCKETS: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0,
+                                           64.0, 256.0)
 
 
 class QueryStatus:
@@ -67,15 +72,10 @@ class QueryStatus:
 class ApiConfig:
     """Shape of one query service."""
 
-    shards: int = 4                 # logical request-routing partitions
-    cache_capacity: int = 4096      # response-cache entries, all shards
+    cache_capacity: int = 4096      # response-cache entries
     rate_limit: RateLimitConfig | None = field(
         default_factory=RateLimitConfig
     )                               # None disables rate limiting
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError(f"need at least one shard: {self.shards}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,6 @@ class ApiResponse:
     content_hash: str            # VRP set fingerprint the answer is for
     payload: object              # endpoint-specific; None unless OK
     cached: bool                 # answered from the response cache
-    shard: int                   # shard that handled the request
 
     @property
     def ok(self) -> bool:
@@ -123,9 +122,7 @@ class QueryService:
         self.config = config if config is not None else ApiConfig()
         self._clock = clock if clock is not None else rp.clock
         self.metrics = metrics if metrics is not None else default_registry()
-        self._router = ShardRouter(
-            self.config.shards, self.config.cache_capacity, self.metrics
-        )
+        self._cache = ResponseCache(self.config.cache_capacity)
         self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
         self._m_refreshes = self.metrics.counter(
             "repro_api_refreshes_total",
@@ -135,6 +132,28 @@ class QueryService:
             "repro_api_rate_limited_total",
             help="requests rejected by the per-client token bucket",
         )
+        # Children are bound once (per (kind, status) at first use) so the
+        # per-query hot path is a single attribute increment.
+        self._m_requests = self.metrics.counter(
+            "repro_api_requests_total",
+            help="query-plane requests, by endpoint kind and outcome",
+            labelnames=("kind", "status"),
+        )
+        self._bound_requests: dict[tuple[str, str], object] = {}
+        cache_metric = self.metrics.counter(
+            "repro_api_cache_total",
+            help="response-cache lookups, by result",
+            labelnames=("result",),
+        )
+        self._m_cache = {
+            result: cache_metric.labels(result=result)
+            for result in ("hit", "miss")
+        }
+        self._m_response_vrps = self.metrics.histogram(
+            "repro_api_response_vrps",
+            buckets=RESPONSE_VRP_BUCKETS,
+            help="VRPs per served answer (response-size distribution)",
+        ).labels()
         self._vrps: VrpSet | None = None
         self._serial = -1               # adopted from the journal below
         self._hash = ""
@@ -191,36 +210,41 @@ class QueryService:
             self._buckets.move_to_end(client)
         return bucket.try_acquire(now)
 
+    def _count_request(self, kind: str, status: str) -> None:
+        child = self._bound_requests.get((kind, status))
+        if child is None:
+            child = self._bound_requests[(kind, status)] = (
+                self._m_requests.labels(kind=kind, status=status)
+            )
+        child.inc()
+
     def _serve(self, kind, cache_epoch, query_key, compute, size_of, client):
-        """The shared request path: sync, route, rate-limit, cache, count.
+        """The shared request path: rate-limit, cache, count.
 
         *cache_epoch* is the key's first component: the content hash for
         content queries (same content → same answer, even across an
         A→B→A flap), the serial for history-shaped queries (whose answer
         depends on the journal, not just the content).
         """
-        shard = self._router.route(query_key)
         if not self._allow(client, self._clock.now):
-            shard.count_request(kind, QueryStatus.RATE_LIMITED)
+            self._count_request(kind, QueryStatus.RATE_LIMITED)
             self._m_rate_limited.inc()
             return ApiResponse(
                 status=QueryStatus.RATE_LIMITED, serial=self._serial,
                 content_hash=self._hash, payload=None, cached=False,
-                shard=shard.index,
             )
         key = (cache_epoch, kind, query_key)
-        payload = shard.cache.get(key)
+        payload = self._cache.get(key)
         cached = payload is not None
-        shard.count_cache("hit" if cached else "miss")
+        self._m_cache["hit" if cached else "miss"].inc()
         if not cached:
             payload = compute()
-            shard.cache.put(key, payload)
-        shard.count_request(kind, QueryStatus.OK)
-        shard.observe_response_size(size_of(payload))
+            self._cache.put(key, payload)
+        self._count_request(kind, QueryStatus.OK)
+        self._m_response_vrps.observe(float(size_of(payload)))
         return ApiResponse(
             status=QueryStatus.OK, serial=self._serial,
             content_hash=self._hash, payload=payload, cached=cached,
-            shard=shard.index,
         )
 
     # -- endpoints -----------------------------------------------------------
@@ -283,18 +307,15 @@ class QueryService:
         """
         self._sync()
         to_serial = self._serial if to_serial is None else to_serial
-        query_key = f"diff|{from_serial}|{to_serial}"
-        shard = self._router.route(query_key)
         entries = self.rp.journal.deltas(from_serial, to_serial)
         if entries is None:
-            shard.count_request("diff", QueryStatus.UNKNOWN_SERIAL)
+            self._count_request("diff", QueryStatus.UNKNOWN_SERIAL)
             return ApiResponse(
                 status=QueryStatus.UNKNOWN_SERIAL, serial=self._serial,
                 content_hash=self._hash, payload=None, cached=False,
-                shard=shard.index,
             )
         return self._serve(
-            "diff", self._serial, query_key,
+            "diff", self._serial, f"diff|{from_serial}|{to_serial}",
             lambda: _net_diff(from_serial, to_serial, entries),
             lambda payload: len(payload.added) + len(payload.removed),
             client,
@@ -303,12 +324,9 @@ class QueryService:
     # -- introspection -------------------------------------------------------
 
     def cache_stats(self):
-        """Aggregated (hits, misses, evictions) across all shards."""
-        return self._router.cache_stats()
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._router)
+        """The response cache's (hits, misses, evictions)."""
+        stats = self._cache.stats
+        return stats.hits, stats.misses, stats.evictions
 
 
 def _as_prefix(prefix):

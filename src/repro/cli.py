@@ -571,7 +571,7 @@ def cmd_api(args) -> None:
     # The unthrottled service for the classification and diff sections;
     # rate limiting gets its own dedicated demo below.
     service = QueryService(rp, config=ApiConfig(
-        shards=4, cache_capacity=4096, rate_limit=None,
+        cache_capacity=4096, rate_limit=None,
     ))
     world.clock.advance(HOUR)
     service.refresh()
@@ -579,8 +579,7 @@ def cmd_api(args) -> None:
     print(f"Origin-validation query plane over the {scale!r} deployment "
           f"(seed {config.seed})\n")
     print(f"epoch serial {service.serial}: {len(vrps)} VRPs, "
-          f"content hash {service.content_hash[:16]}..., "
-          f"{service.shard_count} shards")
+          f"content hash {service.content_hash[:16]}...")
     print(f"VRP journal (shared with RTR): window {rp.journal.window} "
           f"serials, at most {rp.journal.max_vrps} delta VRPs")
 

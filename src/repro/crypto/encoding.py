@@ -49,9 +49,9 @@ a deterministic :class:`EncodingError` instead of an interpreter
 :func:`repro.repository.faults.nested_bomb`).
 
 The previous recursive codec is preserved verbatim (plus the same nesting
-cap) as :mod:`repro.crypto.encoding_reference`; the differential fuzz
-suite under ``tests/crypto/`` pins this engine byte-identical to it on
-random value trees and agreement on every malformed-input rejection
+cap) as the test-only ``tests/crypto/encoding_reference.py``; the
+differential fuzz suite beside it pins this engine byte-identical to it
+on random value trees and agreement on every malformed-input rejection
 class.
 """
 

@@ -92,11 +92,10 @@ class CachedPoint:
 class CacheSnapshot(Mapping):
     """A zero-copy, read-only view of the servable cache contents.
 
-    Maps point URI → file dict exactly like the dict
-    :meth:`LocalCache.all_files` returns, but serves references to the
-    cache's own per-point file dicts instead of copying each one —
-    at Internet scale the copies, not the objects, were the refresh's
-    peak-memory driver (one full snapshot copy per discovery round).
+    Maps point URI → file dict, serving references to the cache's own
+    per-point file dicts instead of copying each one — at Internet scale
+    the copies, not the objects, were the refresh's peak-memory driver
+    (one full snapshot copy per discovery round).
 
     The view is *keyed* eagerly (the serving decision — grace window,
     never-fetched omission — is frozen at construction) and *valued*
@@ -138,7 +137,7 @@ class LocalCache:
 
     *stale_grace* is the grace window in simulated seconds: how long
     after its last successful fetch a stale point keeps being served by
-    :meth:`all_files`.  ``None`` (the default) serves stale copies
+    :meth:`snapshot`.  ``None`` (the default) serves stale copies
     forever, the pre-grace behavior.
     """
 
@@ -208,38 +207,18 @@ class LocalCache:
             for uri in sorted(self._points)
         }
 
-    def all_files(self, now: int | None = None) -> dict[str, dict[str, bytes]]:
-        """Everything servable, keyed by point URI then file name.
+    def snapshot(self, now: int | None = None) -> CacheSnapshot:
+        """A :class:`CacheSnapshot` of everything servable — zero copies.
 
         Points that have *never* been fetched successfully are omitted —
         to the validator they are missing, not empty, which matters for
         the paper's missing-information analysis.  When *now* is given,
         the grace window is enforced: stale-but-in-grace points are
         served (and counted as stale serves), expired points withheld.
-        ``now=None`` keeps the legacy serve-everything behavior.
-        """
-        served: dict[str, dict[str, bytes]] = {}
-        for uri, entry in self._points.items():
-            if entry.last_success < 0:
-                continue
-            if now is not None:
-                freshness = entry.freshness(now, self.stale_grace)
-                if freshness is CacheFreshness.EXPIRED:
-                    self._m_expired.inc()
-                    continue
-                if freshness is CacheFreshness.STALE:
-                    self._m_stale_serves.inc()
-            served[uri] = dict(entry.files)
-        return served
-
-    def snapshot(self, now: int | None = None) -> CacheSnapshot:
-        """A :class:`CacheSnapshot` of everything servable — zero copies.
-
-        Same serving rules as :meth:`all_files` (never-fetched omitted,
-        grace window enforced and stale/expired counters bumped when
-        *now* is given) but the returned mapping references the cache's
-        file dicts instead of duplicating them: streaming refresh at
-        10⁴–10⁵ ROAs validates straight out of the cache.
+        ``now=None`` serves every point ever fetched.  The mapping
+        references the cache's file dicts instead of duplicating them:
+        streaming refresh at 10⁴–10⁵ ROAs validates straight out of the
+        cache.
         """
         entries: dict[str, CachedPoint] = {}
         for uri, entry in self._points.items():
@@ -256,7 +235,7 @@ class LocalCache:
         return CacheSnapshot(entries)
 
     def digests(self, now: int | None = None) -> dict[str, str]:
-        """Content digest of every point :meth:`all_files` would serve.
+        """Content digest of every point :meth:`snapshot` would serve.
 
         Mirrors the serving rules (never-fetched omitted, grace window
         enforced when *now* is given) without touching the stale/expired

@@ -36,10 +36,9 @@ attempt deadline per child.
    recovery is detected: when the authority speeds back up, the probe's
    cheap result pulls the EWMA down and the subtree is readmitted.
 
-The scheduler is wired into :meth:`repro.rp.RelyingParty.refresh` for
-all three engine modes behind the ``schedule=`` knob; the default
-(``None``) preserves the historical plain-sorted fetch order
-byte-identically.
+The scheduler is wired into :meth:`repro.rp.RelyingParty.refresh`
+behind the ``schedule=`` knob; the default (``None``) preserves the
+historical plain-sorted fetch order byte-identically.
 """
 
 from __future__ import annotations

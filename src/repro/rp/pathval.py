@@ -202,7 +202,7 @@ class PathValidator:
         """Validate everything reachable from the trust anchors.
 
         *cache_files* maps publication point URI → file name → bytes
-        (the shape of :meth:`repro.repository.LocalCache.all_files`).
+        (the shape of :meth:`repro.repository.LocalCache.snapshot`).
         *digests* optionally maps point URI → content digest (the shape
         of :meth:`repro.repository.LocalCache.digests`); it keys point
         replay, and a visited point's digest is computed from its bytes

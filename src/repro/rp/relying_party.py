@@ -203,6 +203,9 @@ class RelyingParty:
         )
         self._clock = clock if clock is not None else fetcher.clock
         self._last_run: ValidationRun | None = None
+        # Served before the first refresh: one object, so consumers'
+        # identity checks on :attr:`vrps` hold until a run lands.
+        self._no_vrps = VrpSet()
         # The serial-numbered delta history every serving consumer reads
         # (RTR cache, query plane); they publish :attr:`vrps` into it.
         self.journal = VrpJournal(metrics=self.metrics)
@@ -391,7 +394,7 @@ class RelyingParty:
     def vrps(self) -> VrpSet:
         """The VRPs from the most recent refresh (empty before the first)."""
         if self._last_run is None:
-            return VrpSet()
+            return self._no_vrps
         return self._last_run.vrps
 
     @property

@@ -126,7 +126,7 @@ class SuspendersRelyingParty:
     def _revocations_in_cache(self) -> dict[str, frozenset[int]]:
         """Per publication point, the serials its cached CRL revokes."""
         out: dict[str, frozenset[int]] = {}
-        for uri, files in self.rp.cache.all_files().items():
+        for uri, files in self.rp.cache.snapshot().items():
             data = files.get(CRL_FILE)
             if data is None:
                 continue

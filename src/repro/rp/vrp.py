@@ -176,11 +176,6 @@ class VrpSet:
             return NotImplemented
         return self._sorted_view() == other._sorted_view()
 
-    def difference(self, other: "VrpSet") -> list[VRP]:
-        """VRPs present here but not in *other* (for monitor diffs)."""
-        other_frozen = other.as_frozenset()
-        return [vrp for vrp in self._sorted_view() if vrp not in other_frozen]
-
     def added(self, previous: "VrpSet") -> list[VRP]:
         """VRPs in this set that *previous* lacked, sorted.
 

@@ -69,6 +69,14 @@ class TestEpochs:
         service.refresh()
         assert service.serial == 2
 
+    def test_unrefreshed_rp_serves_one_empty_set(self, rp):
+        assert rp.vrps is rp.vrps
+        service = make_service(rp)
+        service.lookup_asn(1)
+        service.lookup_asn(2)
+        assert rp.journal.current is rp.vrps
+        assert service.serial == 0
+
     def test_content_hash_tracks_vrp_set(self, rp):
         service = make_service(rp)
         service.refresh()
@@ -136,7 +144,7 @@ class TestConsistency:
         second = service.validate_route(vrp.prefix, vrp.asn)
         assert not first.cached and second.cached
         assert first.payload == second.payload
-        assert first.shard == second.shard
+        assert service.cache_stats() == (1, 1, 0)
 
     def test_flap_back_keeps_content_answers_warm(self, world, rp):
         # A -> B -> A where only another journal reader (an RTR update)
@@ -263,6 +271,50 @@ class TestRateLimiting:
         service = make_service(rp, rate_limit=None)
         service.refresh()
         assert all(service.lookup_asn(1, client="c").ok for _ in range(500))
+
+
+class TestTelemetry:
+    def make(self, rp, **config):
+        registry = MetricsRegistry()
+        service = QueryService(rp, config=ApiConfig(**config),
+                               metrics=registry)
+        service.refresh()
+        return service, registry
+
+    def test_request_counter_labels(self, rp):
+        service, registry = self.make(
+            rp, rate_limit=RateLimitConfig(capacity=2, refill_per_second=0),
+        )
+        for _ in range(3):
+            service.lookup_asn(1)
+        service.diff(99)
+        counter = registry.get("repro_api_requests_total")
+        assert counter.labelnames == ("kind", "status")
+        assert counter.value(kind="lookup_asn", status="ok") == 2
+        assert counter.value(kind="lookup_asn", status="rate-limited") == 1
+        assert counter.value(kind="diff", status="unknown-serial") == 1
+
+    def test_cache_counter_and_histogram(self, rp):
+        service, registry = self.make(rp, rate_limit=None)
+        vrp = next(iter(rp.vrps))
+        service.validate_route(vrp.prefix, vrp.asn)
+        service.validate_route(vrp.prefix, vrp.asn)
+        cache = registry.get("repro_api_cache_total")
+        assert cache.labelnames == ("result",)
+        assert cache.value(result="hit") == 1
+        assert cache.value(result="miss") == 1
+        histogram = registry.get("repro_api_response_vrps")
+        assert histogram.labelnames == ()
+        assert histogram.sample().count == 2
+
+    def test_cache_stats_count_the_whole_capacity(self, rp):
+        # cache_capacity bounds the one cache: two entries fit in two.
+        service, _ = self.make(rp, cache_capacity=2, rate_limit=None)
+        for asn in (1, 2, 1, 2):
+            service.lookup_asn(asn)
+        assert service.cache_stats() == (2, 2, 0)
+        service.lookup_asn(3)
+        assert service.cache_stats() == (2, 3, 1)
 
 
 class TestCoveringAtLoad:

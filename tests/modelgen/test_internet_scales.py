@@ -168,7 +168,7 @@ class TestInternetSmallEquivalence:
         now = world.clock.now
         cold = PathValidator(
             world.trust_anchors, metrics=MetricsRegistry()
-        ).run(rp.cache.all_files(now), now)
+        ).run(rp.cache.snapshot(now), now)
 
         assert rp.validator.points_replayed > 0
         # Byte identity: the same validated objects (by content hash),

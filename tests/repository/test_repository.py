@@ -401,10 +401,10 @@ class TestLocalCache:
         cache.update(self.result(status=FetchStatus.UNREACHABLE, at=5))
         assert cache.point("rsync://x/repo/").files == {}
 
-    def test_all_files_and_len(self):
+    def test_snapshot_and_len(self):
         cache = LocalCache()
         cache.update(self.result(files={"a": b"1"}))
-        assert cache.all_files() == {"rsync://x/repo/": {"a": b"1"}}
+        assert dict(cache.snapshot()) == {"rsync://x/repo/": {"a": b"1"}}
         assert len(cache) == 1
         assert "rsync://x/repo/" in cache
 

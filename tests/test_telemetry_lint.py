@@ -4,7 +4,8 @@ Fails the test suite if any module under ``src/repro`` registers a metric
 whose name breaks the ``repro_``/snake_case rule, reads the wall clock
 (``time.time()`` and friends) instead of the simulated Clock, or
 constructs a worker pool at module scope instead of context-managing it
-inside a function.
+inside a function, or registers label names its docs/telemetry.md row
+does not list.
 """
 
 import pathlib
@@ -140,3 +141,27 @@ def test_lint_accepts_broad_except_that_contains(tmp_path):
         "    pass\n"  # narrow except: pass is allowed
     )
     assert check_telemetry_names.check_file(good) == []
+
+
+def test_lint_catches_label_drift(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "mod.py").write_text(
+        "registry.counter('repro_api_cache_total', labelnames=('result',))\n"
+        "registry.histogram('repro_api_response_vrps', buckets=(1.0,))\n"
+        "registry.counter('repro_undocumented_total')\n"
+    )
+    doc = tmp_path / "telemetry.md"
+    doc.write_text(
+        "| Metric | Type | Labels | Meaning |\n"
+        "|---|---|---|---|\n"
+        "| `repro_api_cache_total` | counter | `shard`, `result` = `hit` "
+        "\\| `miss` | lookups |\n"
+        "| `repro_api_response_vrps` | histogram | — | VRPs per answer |\n"
+    )
+    problems = check_telemetry_names.check_tree(src, doc)
+    assert len(problems) == 2
+    assert "('result',)" in problems[0] and "('shard', 'result')" in problems[0]
+    assert "repro_undocumented_total" in problems[1]
+    assert "no row" in problems[1]
+

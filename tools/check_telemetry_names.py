@@ -37,6 +37,12 @@ Statically checks every module under ``src/repro``:
    degradation, ``continue`` a loop); silently discarding the exception
    is not.
 
+5. **Documented labels.**  Every metric registered with a literal name
+   has a row in ``docs/telemetry.md`` whose label names equal the
+   registration's ``labelnames=`` (for ``trace(...)``, its label
+   keywords), in order — so a label added to or dropped from the code
+   cannot leave the documented schema behind.
+
 Run directly (``python tools/check_telemetry_names.py``, exit 1 on
 problems) or via the tier-1 test ``tests/test_telemetry_lint.py``.
 """
@@ -67,6 +73,11 @@ _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
+TELEMETRY_DOC = REPO_ROOT / "docs" / "telemetry.md"
+# A metric row's first cell, and each label in its labels cell: the
+# first backticked word of every comma-separated item (`kind` = `a` \| `b`).
+_ROW_NAME_RE = re.compile(r"`(repro_[a-z0-9_]+)`")
+_ROW_LABEL_RE = re.compile(r"(?:^|,)\s*`([^`]+)`")
 
 
 def _call_name(node: ast.Call) -> str | None:
@@ -90,7 +101,11 @@ def _is_time_module_call(node: ast.Call) -> bool:
     )
 
 
-def check_file(path: pathlib.Path) -> list[str]:
+def check_file(
+    path: pathlib.Path,
+    documented: dict[str, tuple[str, ...]] | None = None,
+) -> list[str]:
+    """Lint one module; with *documented*, also check metric labels."""
     problems: list[str] = []
     try:
         rel = path.relative_to(REPO_ROOT)
@@ -115,6 +130,10 @@ def check_file(path: pathlib.Path) -> list[str]:
                     problems.append(
                         f"{rel}:{node.lineno}: {name}() metric "
                         f"{metric_name!r} must end in '{suffix}'"
+                    )
+                if documented is not None:
+                    problems.extend(
+                        _label_drift(rel, node, metric_name, documented)
                     )
         if _is_time_module_call(node) \
                 and rel.as_posix() not in WALL_CLOCK_EXEMPT:
@@ -184,10 +203,64 @@ def _module_level_calls(tree: ast.Module):
             stack.append(child)
 
 
-def check_tree(root: pathlib.Path = SRC_ROOT) -> list[str]:
+def documented_labels(
+    doc: pathlib.Path = TELEMETRY_DOC,
+) -> dict[str, tuple[str, ...]]:
+    """Metric name → label names, read from the tables in *doc*.
+
+    A row is ``| `name` | type | labels | meaning |``; the labels cell is
+    ``—`` or comma-separated ``label = values`` items, the values joined
+    by an escaped pipe (backslash, bar) that must not split the row.
+    """
+    labels: dict[str, tuple[str, ...]] = {}
+    for line in doc.read_text(encoding="utf-8").splitlines():
+        unescaped = line.replace("\\|", "\0")
+        cells = [cell.strip() for cell in unescaped.split("|")]
+        if len(cells) < 5:
+            continue
+        match = _ROW_NAME_RE.fullmatch(cells[1])
+        if match:
+            labels[match.group(1)] = tuple(_ROW_LABEL_RE.findall(cells[3]))
+    return labels
+
+
+def _registered_labels(node: ast.Call) -> tuple[str, ...] | None:
+    """Label names a metric-factory call registers, if statically known."""
+    if _call_name(node) == "trace":
+        return tuple(sorted(kw.arg for kw in node.keywords if kw.arg))
+    for kw in node.keywords:
+        if kw.arg == "labelnames":
+            try:
+                return tuple(ast.literal_eval(kw.value))
+            except ValueError:
+                return None  # computed label names: not checkable here
+    return ()
+
+
+def _label_drift(
+    rel, node: ast.Call, metric_name: str,
+    documented: dict[str, tuple[str, ...]],
+) -> list[str]:
+    labels = _registered_labels(node)
+    if labels is None:
+        return []
+    if metric_name not in documented:
+        return [f"{rel}:{node.lineno}: metric {metric_name!r} has no row "
+                f"in {TELEMETRY_DOC.name}"]
+    if documented[metric_name] != labels:
+        return [f"{rel}:{node.lineno}: metric {metric_name!r} registers "
+                f"labels {labels}, {TELEMETRY_DOC.name} documents "
+                f"{documented[metric_name]}"]
+    return []
+
+
+def check_tree(
+    root: pathlib.Path = SRC_ROOT, doc: pathlib.Path = TELEMETRY_DOC
+) -> list[str]:
+    documented = documented_labels(doc)
     problems: list[str] = []
     for path in sorted(root.rglob("*.py")):
-        problems.extend(check_file(path))
+        problems.extend(check_file(path, documented))
     return problems
 
 
